@@ -8,7 +8,9 @@
 #include "common/serialize.h"
 #include "crypto/aead.h"
 #include "crypto/sha256.h"
+#include "data/column_table.h"
 #include "data/generator.h"
+#include "exec/protocol.h"
 #include "ml/kmeans.h"
 #include "ml/metrics.h"
 #include "net/simulator.h"
@@ -73,7 +75,9 @@ void BM_AeadSealInto(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_AeadSealInto)->Arg(128)->Arg(1024)->Arg(8192);
+// 96 B is a one-row contribution's plaintext: the short-message path that
+// takes its one-time key and keystream from one 4-block batch.
+BENCHMARK(BM_AeadSealInto)->Arg(96)->Arg(128)->Arg(1024)->Arg(8192);
 
 // Replica fan-out as the actors do it: one encoded plaintext sealed for
 // each of 8 recipients through the enclave (pairwise-key cache + scratch
@@ -102,6 +106,43 @@ void BM_SealFanout(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_SealFanout)->Arg(1024)->Arg(8192);
+
+// One cohort member's contribution to a four-column vertical group, cycling
+// over a generated population. encoder=0 is the reference path (one-row
+// TableView::ProjectToTable, then ContributionMsg::Encode); encoder=1 is
+// the ContributionEncoder every sender uses, writing the same bytes
+// straight from the columns.
+void BM_EncodeContribution(benchmark::State& state) {
+  data::HealthDataParams params;
+  params.num_individuals = 4096;
+  auto store = std::make_shared<const data::ColumnTable>(
+      data::GenerateHealthColumns(params, 1));
+  const data::TableView all(store);
+  const std::vector<std::string> columns = {"age", "sex", "region", "bmi"};
+  auto encoder = exec::ContributionEncoder::Resolve(1, store->schema(),
+                                                    {columns});
+  if (!encoder.ok()) {
+    state.SkipWithError("resolve failed");
+    return;
+  }
+  size_t row = 0;
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      exec::ContributionMsg msg;
+      msg.query_id = 1;
+      msg.contributor_key = row;
+      msg.rows = *all.Slice(row, 1).ProjectToTable(columns);
+      benchmark::DoNotOptimize(msg.Encode());
+    } else {
+      benchmark::DoNotOptimize(
+          encoder->EncodeRow(0, row, *store, row).data());
+    }
+    benchmark::ClobberMemory();
+    row = (row + 1) % store->num_rows();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_EncodeContribution)->ArgName("encoder")->Arg(0)->Arg(1);
 
 void BM_TableSerialize(benchmark::State& state) {
   data::HealthDataParams params;

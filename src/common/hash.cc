@@ -12,13 +12,4 @@ uint64_t Fnv1a64(const void* data, size_t len) {
   return h;
 }
 
-uint64_t Mix64(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xFF51AFD7ED558CCDULL;
-  x ^= x >> 33;
-  x *= 0xC4CEB9FE1A85EC53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
 }  // namespace edgelet

@@ -112,6 +112,28 @@ class Reader {
   size_t remaining() const { return len_ - pos_; }
   bool AtEnd() const { return pos_ == len_; }
 
+  // Fails with Corruption unless `count` elements of at least
+  // `min_bytes_each` (>= 1) bytes apiece can still fit in the unread input.
+  // Every decoder runs this before sizing a container (or looping) from a
+  // wire count, so a hostile count cannot make it allocate without bound.
+  Status CheckCount(uint64_t count, size_t min_bytes_each = 1) const {
+    if (count > remaining() / min_bytes_each) {
+      return Status::Corruption("element count " + std::to_string(count) +
+                                " exceeds the remaining " +
+                                std::to_string(remaining()) + " bytes");
+    }
+    return Status::OK();
+  }
+
+  // Consumes the next `len` bytes iff they equal data[0..len).
+  bool ConsumeIfEquals(const uint8_t* data, size_t len) {
+    if (remaining() < len || std::memcmp(data_ + pos_, data, len) != 0) {
+      return false;
+    }
+    pos_ += len;
+    return true;
+  }
+
  private:
   Status Need(size_t n);
   Result<uint64_t> GetVarintSlow();

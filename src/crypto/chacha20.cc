@@ -255,6 +255,13 @@ std::array<uint8_t, 64> ChaCha20Block(const Key256& key, const Nonce96& nonce,
   return out;
 }
 
+void ChaCha20Blocks4(const Key256& key, const Nonce96& nonce,
+                     uint32_t counter, uint8_t out[kChaCha20Batch4Bytes]) {
+  uint32_t state[16];
+  InitState(state, key, nonce, counter);
+  Blocks4(state, out);
+}
+
 void ChaCha20XorInPlace(const Key256& key, const Nonce96& nonce,
                         uint32_t counter, uint8_t* data, size_t len) {
   uint32_t state[16];

@@ -25,6 +25,14 @@ Bytes ChaCha20Xor(const Key256& key, const Nonce96& nonce, uint32_t counter,
 void ChaCha20XorInPlace(const Key256& key, const Nonce96& nonce,
                         uint32_t counter, uint8_t* data, size_t len);
 
+// Four consecutive keystream blocks (counters counter .. counter+3) from
+// one batched generation. The short-message AEAD path takes both its
+// Poly1305 one-time key (block 0) and its whole payload keystream (blocks
+// 1-3) from a single call at counter 0.
+inline constexpr size_t kChaCha20Batch4Bytes = 4 * 64;
+void ChaCha20Blocks4(const Key256& key, const Nonce96& nonce,
+                     uint32_t counter, uint8_t out[kChaCha20Batch4Bytes]);
+
 // Raw 64-byte keystream block; exposed for Poly1305 key derivation and
 // for tests against the RFC 8439 vectors.
 std::array<uint8_t, 64> ChaCha20Block(const Key256& key, const Nonce96& nonce,

@@ -298,4 +298,60 @@ Result<Table> TableView::ProjectToTable(
   return out;
 }
 
+// --- WireProjection ---------------------------------------------------------
+
+Result<WireProjection> WireProjection::Resolve(
+    const Schema& store_schema, const std::vector<std::string>& columns) {
+  auto projected = store_schema.Project(columns);
+  if (!projected.ok()) return projected.status();
+  WireProjection out;
+  Writer w;
+  projected->Serialize(&w);
+  out.schema_bytes_ = w.Take();
+  out.columns_.reserve(columns.size());
+  for (const auto& c : columns) {
+    out.columns_.push_back(static_cast<uint32_t>(*store_schema.IndexOf(c)));
+  }
+  return out;
+}
+
+void WireProjection::Write(const TableView& view, Writer* w) const {
+  w->PutRaw(schema_bytes_.data(), schema_bytes_.size());
+  w->PutVarint(view.num_rows());
+  for (size_t r = 0; r < view.num_rows(); ++r) {
+    WriteCells(view.store(), view.StoreRow(r), w);
+  }
+}
+
+void WireProjection::WriteRow(const ColumnTable& store, size_t row,
+                              Writer* w) const {
+  w->PutRaw(schema_bytes_.data(), schema_bytes_.size());
+  w->PutVarint(1);
+  WriteCells(store, row, w);
+}
+
+void WireProjection::WriteCells(const ColumnTable& store, size_t row,
+                                Writer* w) const {
+  // Mirrors Value::Serialize cell by cell: a type tag, then the payload.
+  for (uint32_t col : columns_) {
+    const ValueType type = store.IsNull(row, col)
+                               ? ValueType::kNull
+                               : store.schema().column(col).type;
+    w->PutU8(static_cast<uint8_t>(type));
+    switch (type) {
+      case ValueType::kNull:
+        break;
+      case ValueType::kInt64:
+        w->PutVarintSigned(store.Int64At(row, col));
+        break;
+      case ValueType::kDouble:
+        w->PutDouble(store.DoubleAt(row, col));
+        break;
+      case ValueType::kString:
+        w->PutString(store.StringAt(row, col));
+        break;
+    }
+  }
+}
+
 }  // namespace edgelet::data

@@ -219,8 +219,8 @@ class TableView {
   // Full row table with this view's schema. O(num_rows) — boundary and
   // compat paths only.
   Table ToTable() const;
-  // Row table restricted to the named columns, in order — what actors
-  // serialize as per-vertical-group contributions.
+  // Row table restricted to the named columns, in order. The reference
+  // for WireProjection, which writes the same rows without building them.
   Result<Table> ProjectToTable(const std::vector<std::string>& columns) const;
 
  private:
@@ -228,6 +228,32 @@ class TableView {
   size_t begin_ = 0;
   size_t count_ = 0;
   std::vector<uint32_t> selection_;
+};
+
+// A fixed column projection of a store, resolved once into its serialized
+// schema section and the store column indices, that then writes rows
+// straight from the columns: no Value, Tuple or Table is built. The bytes
+// are exactly those of ProjectToTable(columns) followed by
+// Table::Serialize — the row section of every contribution message.
+class WireProjection {
+ public:
+  WireProjection() = default;
+
+  // Fails when a column is not in `store_schema`.
+  static Result<WireProjection> Resolve(
+      const Schema& store_schema, const std::vector<std::string>& columns);
+
+  // Schema section, row count, then the cells of every row of `view`,
+  // which must be over a store with the resolved schema.
+  void Write(const TableView& view, Writer* w) const;
+  // The same for the single store row `row`.
+  void WriteRow(const ColumnTable& store, size_t row, Writer* w) const;
+
+ private:
+  void WriteCells(const ColumnTable& store, size_t row, Writer* w) const;
+
+  Bytes schema_bytes_;
+  std::vector<uint32_t> columns_;  // store column per projected column
 };
 
 }  // namespace edgelet::data

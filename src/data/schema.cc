@@ -35,6 +35,8 @@ void Schema::Serialize(Writer* w) const {
 Result<Schema> Schema::Deserialize(Reader* r) {
   auto n = r->GetVarint();
   if (!n.ok()) return n.status();
+  // A column costs at least a name length and a type tag.
+  EDGELET_RETURN_NOT_OK(r->CheckCount(*n, 2));
   std::vector<Column> cols;
   cols.reserve(*n);
   for (uint64_t i = 0; i < *n; ++i) {

@@ -121,22 +121,36 @@ void Table::Serialize(Writer* w) const {
 Result<Table> Table::Deserialize(Reader* r) {
   auto schema = Schema::Deserialize(r);
   if (!schema.ok()) return schema.status();
+  Table out(std::move(*schema));
+  auto n = out.AppendSerializedRows(r);
+  if (!n.ok()) return n.status();
+  return out;
+}
+
+Result<uint64_t> Table::AppendSerializedRows(Reader* r, uint64_t max_append) {
   auto n = r->GetVarint();
   if (!n.ok()) return n.status();
-  Table out(std::move(*schema));
-  out.Reserve(*n);
-  const size_t arity = out.schema().num_columns();
+  const size_t arity = schema_.num_columns();
+  // Every cell costs at least its tag byte; a zero-column row is charged
+  // one byte too, so even an empty schema cannot loop on a hostile count.
+  EDGELET_RETURN_NOT_OK(r->CheckCount(*n, arity > 0 ? arity : 1));
+  const size_t old_rows = rows_.size();
+  const uint64_t keep = std::min(*n, max_append);
+  if (old_rows == 0) rows_.reserve(keep);
   for (uint64_t i = 0; i < *n; ++i) {
     Tuple t;
     t.reserve(arity);
     for (size_t c = 0; c < arity; ++c) {
       auto v = Value::Deserialize(r);
-      if (!v.ok()) return v.status();
+      if (!v.ok()) {
+        rows_.resize(old_rows);
+        return v.status();
+      }
       t.push_back(std::move(*v));
     }
-    out.AppendUnchecked(std::move(t));
+    if (i < keep) rows_.push_back(std::move(t));
   }
-  return out;
+  return *n;
 }
 
 std::string Table::ToString(size_t max_rows) const {

@@ -56,14 +56,6 @@ class Table {
   // a plain vector move.
   Status Concat(Table&& other);
 
-  // Relinquishes the row storage (the table is left empty). Lets trusted
-  // consumers move tuples out of a decoded message instead of copying.
-  std::vector<Tuple> TakeRows() {
-    std::vector<Tuple> out = std::move(rows_);
-    rows_.clear();
-    return out;
-  }
-
   // Deterministic order: sorts rows lexicographically by value. Used to
   // compare distributed and centralized results independent of arrival
   // order.
@@ -74,6 +66,14 @@ class Table {
 
   void Serialize(Writer* w) const;
   static Result<Table> Deserialize(Reader* r);
+
+  // Decodes a row section as Serialize writes it after the schema (row
+  // count, then the cells) under this table's schema, and appends the
+  // first `max_append` rows; the rest are still decoded, so a corrupt tail
+  // fails the whole section, then dropped. Returns the section's row
+  // count. On error the table is left as it was.
+  Result<uint64_t> AppendSerializedRows(Reader* r,
+                                        uint64_t max_append = UINT64_MAX);
 
   bool operator==(const Table& other) const {
     return schema_ == other.schema_ && rows_ == other.rows_;

@@ -35,6 +35,21 @@ void LivenessBeacon::Beat() {
   net_->ScheduleAfter(dev_->id(), config_.period, [this]() { Beat(); });
 }
 
+std::optional<ContributionEncoder> ResolveContributionEncoder(
+    const device::Device& dev, uint64_t query_id,
+    const std::vector<std::vector<std::string>>& vgroup_columns) {
+  const data::TableView& local = dev.local_view();
+  if (!local.has_store()) return std::nullopt;
+  auto encoder =
+      ContributionEncoder::Resolve(query_id, local.schema(), vgroup_columns);
+  if (!encoder.ok()) {
+    EDGELET_LOG(kWarning) << "device " << dev.id() << " projection error: "
+                          << encoder.status().ToString();
+    return std::nullopt;
+  }
+  return std::move(*encoder);
+}
+
 ContributorActor::ContributorActor(net::Transport* net, device::Device* dev,
                                    Config config)
     : ActorBase(net, dev, config.query_id), config_(std::move(config)) {}
@@ -45,8 +60,8 @@ void ContributorActor::Start() {
 
 void ContributorActor::Contribute() {
   // Qualification is a typed scan over the device's zero-copy view into
-  // the shared population store; rows materialize only at the wire
-  // boundary (per-vertical-group projections).
+  // the shared population store; each vertical group's projection is
+  // encoded straight from the store's columns.
   const data::TableView& local = dev()->local_view();
   if (local.empty()) return;
 
@@ -58,23 +73,17 @@ void ContributorActor::Contribute() {
     return;
   }
   if (qualified->empty()) return;  // the owner's data does not qualify
+  // Resolved here, not kept: a contributor sends once, and a crowd of
+  // idle actors must not each hold an encoder.
+  auto encoder = ResolveContributionEncoder(*dev(), config_.query_id,
+                                            config_.vgroup_columns);
+  if (!encoder) return;
 
   uint32_t partition = data::PartitionForKey(
       config_.contributor_key, static_cast<uint32_t>(config_.builders.size()));
   for (size_t vg = 0; vg < config_.vgroup_columns.size(); ++vg) {
-    auto projected = qualified->ProjectToTable(config_.vgroup_columns[vg]);
-    if (!projected.ok()) {
-      EDGELET_LOG(kWarning) << "contributor " << dev()->id()
-                            << " projection error: "
-                            << projected.status().ToString();
-      return;
-    }
-    ContributionMsg msg;
-    msg.query_id = config_.query_id;
-    msg.contributor_key = config_.contributor_key;
-    msg.rows = std::move(*projected);
     SealAndSendAll(config_.builders[partition][vg], kContribution,
-                   msg.Encode());
+                   encoder->Encode(vg, config_.contributor_key, *qualified));
   }
   contributed_ = true;
   if (config_.trace != nullptr) {
@@ -102,14 +111,12 @@ void ContributorActor::OnResolicit(const net::Message& msg) {
   if (local.empty()) return;
   auto qualified = query::ApplyPredicates(local, config_.predicates);
   if (!qualified.ok() || qualified->empty()) return;
-  auto projected =
-      qualified->ProjectToTable(config_.vgroup_columns[req->vgroup]);
-  if (!projected.ok()) return;
-  ContributionMsg out;
-  out.query_id = config_.query_id;
-  out.contributor_key = config_.contributor_key;
-  out.rows = std::move(*projected);
-  SealAndSend(req->builder, kContribution, out.Encode());
+  auto encoder = ResolveContributionEncoder(*dev(), config_.query_id,
+                                            config_.vgroup_columns);
+  if (!encoder) return;
+  SealAndSend(req->builder, kContribution,
+              encoder->Encode(req->vgroup, config_.contributor_key,
+                              *qualified));
   if (config_.trace != nullptr) {
     config_.trace->Record(now(), TraceEventKind::kContributionSent,
                           dev()->id(), static_cast<int>(req->partition),

@@ -2,6 +2,7 @@
 #define EDGELET_EXEC_ACTOR_H_
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "device/device.h"
@@ -161,6 +162,13 @@ class LivenessBeacon {
   uint64_t birth_epoch_ = 0;
   Bytes payload_;  // encoded once; identical every beat
 };
+
+// The contribution encoder of a sender on `dev`, resolved against the
+// device's population store. Empty when the device holds no data, or
+// (logged) when a vertical group names a column the store lacks.
+std::optional<ContributionEncoder> ResolveContributionEncoder(
+    const device::Device& dev, uint64_t query_id,
+    const std::vector<std::vector<std::string>>& vgroup_columns);
 
 // A Data Contributor: at its scheduled contact time, evaluates the query
 // predicates on its local record inside the enclave and sends qualifying

@@ -40,54 +40,46 @@ void CohortActor::ContributeFrom(size_t index) {
   }
 }
 
-bool CohortActor::EnsureCompiledPredicates() {
-  if (compiled_ready_) return !compile_failed_;
-  compiled_ready_ = true;
+bool CohortActor::EnsurePrepared() {
+  if (prepared_) return !prepare_failed_;
+  prepared_ = true;
   const data::TableView& local = dev()->local_view();
   if (!local.has_store()) {
-    compile_failed_ = true;
+    prepare_failed_ = true;
     return false;
   }
   auto compiled = query::CompilePredicates(local.store(), config_.predicates);
   if (!compiled.ok()) {
-    compile_failed_ = true;
+    prepare_failed_ = true;
     EDGELET_LOG(kWarning) << "cohort " << dev()->id() << " predicate error: "
                           << compiled.status().ToString();
     return false;
   }
   compiled_ = std::move(*compiled);
-  return true;
+  encoder_ = ResolveContributionEncoder(*dev(), config_.query_id,
+                                        config_.vgroup_columns);
+  prepare_failed_ = !encoder_;
+  return encoder_.has_value();
 }
 
 bool CohortActor::ContributeMember(const Member& member) {
-  // The member's row lives in the shared population store; qualification
-  // is a compiled-predicate probe and only qualifying rows materialize —
-  // as the per-vertical-group wire projections.
+  // The member's row lives in the shared population store: qualification
+  // is a compiled-predicate probe, and each vertical group's projection is
+  // encoded straight from the store's columns.
   const data::TableView& local = dev()->local_view();
   if (member.row >= local.num_rows()) return false;
-  if (!EnsureCompiledPredicates()) return false;
-  if (!query::MatchesRow(local.store(), local.StoreRow(member.row),
-                         compiled_)) {
+  if (!EnsurePrepared()) return false;
+  const size_t store_row = local.StoreRow(member.row);
+  if (!query::MatchesRow(local.store(), store_row, compiled_)) {
     return false;  // the member's data does not qualify
   }
-  data::TableView one = local.Slice(member.row, 1);
 
   uint32_t partition = data::PartitionForKey(
       member.contributor_key, static_cast<uint32_t>(config_.builders.size()));
   for (size_t vg = 0; vg < config_.vgroup_columns.size(); ++vg) {
-    auto projected = one.ProjectToTable(config_.vgroup_columns[vg]);
-    if (!projected.ok()) {
-      EDGELET_LOG(kWarning) << "cohort " << dev()->id() << " member "
-                            << member.contributor_key << " projection error: "
-                            << projected.status().ToString();
-      return false;
-    }
-    ContributionMsg msg;
-    msg.query_id = config_.query_id;
-    msg.contributor_key = member.contributor_key;
-    msg.rows = std::move(*projected);
     SealAndSendAll(config_.builders[partition][vg], kContribution,
-                   msg.Encode());
+                   encoder_->EncodeRow(vg, member.contributor_key,
+                                       local.store(), store_row));
   }
   if (config_.trace != nullptr) {
     config_.trace->Record(now(), TraceEventKind::kContributionSent,
@@ -115,19 +107,12 @@ void CohortActor::OnResolicit(const net::Message& msg) {
         static_cast<uint32_t>(config_.builders.size()));
     if (partition != req->partition) continue;
     if (member.row >= local.num_rows()) continue;
-    if (!EnsureCompiledPredicates()) continue;
-    if (!query::MatchesRow(local.store(), local.StoreRow(member.row),
-                           compiled_)) {
-      continue;
-    }
-    auto projected = local.Slice(member.row, 1)
-                         .ProjectToTable(config_.vgroup_columns[req->vgroup]);
-    if (!projected.ok()) continue;
-    ContributionMsg out;
-    out.query_id = config_.query_id;
-    out.contributor_key = member.contributor_key;
-    out.rows = std::move(*projected);
-    SealAndSend(req->builder, kContribution, out.Encode());
+    if (!EnsurePrepared()) continue;
+    const size_t store_row = local.StoreRow(member.row);
+    if (!query::MatchesRow(local.store(), store_row, compiled_)) continue;
+    SealAndSend(req->builder, kContribution,
+                encoder_->EncodeRow(req->vgroup, member.contributor_key,
+                                    local.store(), store_row));
     if (config_.trace != nullptr) {
       config_.trace->Record(now(), TraceEventKind::kContributionSent,
                             dev()->id(), static_cast<int>(req->partition),

@@ -1,6 +1,7 @@
 #ifndef EDGELET_EXEC_COHORT_H_
 #define EDGELET_EXEC_COHORT_H_
 
+#include <optional>
 #include <vector>
 
 #include "exec/actor.h"
@@ -69,17 +70,20 @@ class CohortActor : public ActorBase {
   // One member's contribution; returns whether anything was sent.
   bool ContributeMember(const Member& member);
   void OnResolicit(const net::Message& msg);
-  // Compiles config_.predicates against the device view's store once;
-  // returns false (and logs once) when compilation fails.
-  bool EnsureCompiledPredicates();
+  // Compiles config_.predicates against the device view's store and
+  // resolves the contribution encoder, once; returns false (and logs once)
+  // when either fails.
+  bool EnsurePrepared();
 
   Config config_;
   size_t members_contributed_ = 0;
   // Per-member qualification is a compiled-predicate probe into the shared
-  // store — no one-row Table is ever built on the qualify path.
+  // store, and the encoder writes projections from it: no one-row Table is
+  // built on the way to the wire.
   std::vector<query::CompiledPredicate> compiled_;
-  bool compiled_ready_ = false;
-  bool compile_failed_ = false;
+  std::optional<ContributionEncoder> encoder_;
+  bool prepared_ = false;
+  bool prepare_failed_ = false;
 };
 
 }  // namespace edgelet::exec

@@ -25,7 +25,46 @@ Result<ContributionMsg> ContributionMsg::Decode(const Bytes& b) {
   return m;
 }
 
-Bytes SnapshotSliceMsg::Encode() const {
+Result<ContributionEncoder> ContributionEncoder::Resolve(
+    uint64_t query_id, const data::Schema& store_schema,
+    const std::vector<std::vector<std::string>>& vgroup_columns) {
+  ContributionEncoder out;
+  out.query_id_ = query_id;
+  out.projections_.reserve(vgroup_columns.size());
+  for (const auto& columns : vgroup_columns) {
+    auto p = data::WireProjection::Resolve(store_schema, columns);
+    if (!p.ok()) return p.status();
+    out.projections_.push_back(std::move(*p));
+  }
+  return out;
+}
+
+void ContributionEncoder::PutHeader(uint64_t contributor_key) {
+  w_.Reset();
+  w_.PutU64(query_id_);
+  w_.PutU64(contributor_key);
+}
+
+const Bytes& ContributionEncoder::Encode(size_t vgroup,
+                                         uint64_t contributor_key,
+                                         const data::TableView& rows) {
+  PutHeader(contributor_key);
+  projections_[vgroup].Write(rows, &w_);
+  return w_.data();
+}
+
+const Bytes& ContributionEncoder::EncodeRow(size_t vgroup,
+                                            uint64_t contributor_key,
+                                            const data::ColumnTable& store,
+                                            size_t row) {
+  PutHeader(contributor_key);
+  projections_[vgroup].WriteRow(store, row, &w_);
+  return w_.data();
+}
+
+Bytes SnapshotSliceMsg::EncodeFrom(uint64_t query_id, uint32_t partition,
+                                   uint32_t vgroup, uint32_t epoch,
+                                   const data::Table& rows) {
   Writer w;
   w.PutU64(query_id);
   w.PutU32(partition);
@@ -131,10 +170,12 @@ Result<ClusterStats> ClusterStats::Deserialize(Reader* r) {
   ClusterStats out;
   auto n = r->GetVarint();
   if (!n.ok()) return n.status();
+  EDGELET_RETURN_NOT_OK(r->CheckCount(*n));
   out.per_cluster.resize(*n);
   for (uint64_t c = 0; c < *n; ++c) {
     auto na = r->GetVarint();
     if (!na.ok()) return na.status();
+    EDGELET_RETURN_NOT_OK(r->CheckCount(*na));
     out.per_cluster[c].reserve(*na);
     for (uint64_t a = 0; a < *na; ++a) {
       auto s = query::AggregateState::Deserialize(r);

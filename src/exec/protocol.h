@@ -3,6 +3,7 @@
 
 #include <cstdint>
 
+#include "data/column_table.h"
 #include "data/table.h"
 #include "ml/kmeans.h"
 #include "net/message.h"
@@ -31,7 +32,10 @@ enum MessageType : uint32_t {
 
 // --- Payload envelopes -------------------------------------------------------
 
-// One contributor's qualifying rows (usually a single record).
+// One contributor's qualifying rows (usually a single record). Actors do
+// not build this struct: senders write it with a ContributionEncoder and
+// the snapshot builder decodes it straight into its buffer. It stays the
+// reference for the wire format.
 struct ContributionMsg {
   uint64_t query_id = 0;
   uint64_t contributor_key = 0;
@@ -39,6 +43,34 @@ struct ContributionMsg {
 
   Bytes Encode() const;
   static Result<ContributionMsg> Decode(const Bytes& b);
+};
+
+// The encoder behind every contribution sender. Resolved against the
+// population store's schema — one data::WireProjection per vertical group
+// — it writes each message straight from the store into a reused buffer.
+// The bytes equal
+// ContributionMsg{query_id, key, rows.ProjectToTable(columns)}.Encode().
+class ContributionEncoder {
+ public:
+  // Fails when a vertical group names a column the store lacks.
+  static Result<ContributionEncoder> Resolve(
+      uint64_t query_id, const data::Schema& store_schema,
+      const std::vector<std::vector<std::string>>& vgroup_columns);
+
+  // The message carrying `rows` (a view over the resolved store) to
+  // vertical group `vgroup`. Valid until the next Encode/EncodeRow.
+  const Bytes& Encode(size_t vgroup, uint64_t contributor_key,
+                      const data::TableView& rows);
+  // The same for the single store row `row`.
+  const Bytes& EncodeRow(size_t vgroup, uint64_t contributor_key,
+                         const data::ColumnTable& store, size_t row);
+
+ private:
+  void PutHeader(uint64_t contributor_key);
+
+  uint64_t query_id_ = 0;
+  std::vector<data::WireProjection> projections_;
+  Writer w_;
 };
 
 // A vertical slice of one snapshot partition.
@@ -51,7 +83,14 @@ struct SnapshotSliceMsg {
   uint32_t epoch = 0;
   data::Table rows;
 
-  Bytes Encode() const;
+  Bytes Encode() const {
+    return EncodeFrom(query_id, partition, vgroup, epoch, rows);
+  }
+  // The same bytes from the parts: a builder serializes its buffer in
+  // place instead of copying it into a message first.
+  static Bytes EncodeFrom(uint64_t query_id, uint32_t partition,
+                          uint32_t vgroup, uint32_t epoch,
+                          const data::Table& rows);
   static Result<SnapshotSliceMsg> Decode(const Bytes& b);
 };
 

@@ -1,5 +1,7 @@
 #include "exec/snapshot_builder.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace edgelet::exec {
@@ -30,9 +32,10 @@ void SnapshotBuilderActor::Start() {
       // Undecodable resume state: start fresh rather than wedge. The
       // store's integrity checks make this unreachable in practice.
       buffer_ = data::Table();
-      have_schema_ = complete_ = emitted_ = false;
+      complete_ = emitted_ = false;
+      schema_bytes_.clear();
       included_.clear();
-      seen_contributors_.clear();
+      seen_contributors_.Clear();
     }
   }
   replica_->Start();
@@ -54,14 +57,16 @@ void SnapshotBuilderActor::Start() {
 
 Bytes SnapshotBuilderActor::SerializeState() const {
   Writer w;
-  w.PutBool(have_schema_);
+  w.PutBool(!schema_bytes_.empty());
   w.PutBool(complete_);
   w.PutBool(emitted_);
   buffer_.Serialize(&w);
   w.PutVarint(included_.size());
   for (uint64_t k : included_) w.PutU64(k);
-  w.PutVarint(seen_contributors_.size());
-  for (uint64_t k : seen_contributors_) w.PutU64(k);
+  std::vector<uint64_t> seen = seen_contributors_.Keys();
+  std::sort(seen.begin(), seen.end());
+  w.PutVarint(seen.size());
+  for (uint64_t k : seen) w.PutU64(k);
   return w.Take();
 }
 
@@ -78,26 +83,33 @@ Status SnapshotBuilderActor::RestoreState(const Bytes& state) {
   std::vector<uint64_t> included;
   auto ni = r.GetVarint();
   if (!ni.ok()) return ni.status();
+  EDGELET_RETURN_NOT_OK(r.CheckCount(*ni, sizeof(uint64_t)));
   included.reserve(*ni);
   for (uint64_t i = 0; i < *ni; ++i) {
     auto k = r.GetU64();
     if (!k.ok()) return k.status();
     included.push_back(*k);
   }
-  std::set<uint64_t> seen;
+  FlatSet64 seen;
   auto ns = r.GetVarint();
   if (!ns.ok()) return ns.status();
+  EDGELET_RETURN_NOT_OK(r.CheckCount(*ns, sizeof(uint64_t)));
   for (uint64_t i = 0; i < *ns; ++i) {
     auto k = r.GetU64();
     if (!k.ok()) return k.status();
-    seen.insert(*k);
+    seen.Insert(*k);
   }
-  have_schema_ = *have_schema;
   complete_ = *complete;
   emitted_ = *emitted;
   buffer_ = std::move(*buffer);
   included_ = std::move(included);
   seen_contributors_ = std::move(seen);
+  // Later contributions are checked against the restored schema's bytes.
+  if (*have_schema) {
+    CacheSchemaBytes();
+  } else {
+    schema_bytes_.clear();
+  }
   return Status::OK();
 }
 
@@ -124,33 +136,52 @@ void SnapshotBuilderActor::HandleMessage(const net::Message& msg) {
 void SnapshotBuilderActor::OnContribution(const net::Message& msg) {
   if (complete_) return;  // quota reached: later contributions are ignored
   if (!OpenSealed(msg).ok()) return;
-  auto contribution = ContributionMsg::Decode(opened_payload());
-  if (!contribution.ok() || contribution->query_id != config_.query_id) {
-    return;
-  }
+  // The ContributionMsg layout, read in place: header, then the schema
+  // and row sections straight into the buffer.
+  Reader r(opened_payload());
+  auto query_id = r.GetU64();
+  if (!query_id.ok() || *query_id != config_.query_id) return;
+  auto key = r.GetU64();
+  if (!key.ok()) return;
   // Idempotence: a contributor that re-sends (store-and-forward replays)
   // is only counted once.
-  if (!seen_contributors_.insert(contribution->contributor_key).second) {
-    return;
-  }
-  if (!have_schema_) {
-    buffer_ = data::Table(contribution->rows.schema());
-    have_schema_ = true;
-  }
-  const uint64_t contributed_rows = contribution->rows.num_rows();
-  // The decoded message is ours: move its tuples into the buffer instead
-  // of copying value-by-value.
-  for (auto& row : contribution->rows.TakeRows()) {
-    if (buffer_.num_rows() >= config_.quota) break;
-    buffer_.AppendUnchecked(std::move(row));
-    included_.push_back(contribution->contributor_key);
-  }
+  if (seen_contributors_.Contains(*key)) return;
+  const size_t rows_before = buffer_.num_rows();
+  auto contributed_rows = DecodeRowsIntoBuffer(&r);
+  if (!contributed_rows.ok()) return;
+  seen_contributors_.Insert(*key);
+  included_.insert(included_.end(), buffer_.num_rows() - rows_before, *key);
   // Raw cleartext data is now inside this enclave: exposure accounting.
-  dev()->enclave().RecordClearTextTuples(contributed_rows,
+  dev()->enclave().RecordClearTextTuples(*contributed_rows,
                                          buffer_.schema().num_columns());
   MaybeEmit();
   // Quota completion is a phase transition the store must not lose.
   MaybeCheckpoint(/*critical=*/complete_);
+}
+
+Result<uint64_t> SnapshotBuilderActor::DecodeRowsIntoBuffer(Reader* r) {
+  const uint64_t room =
+      config_.quota - std::min<uint64_t>(config_.quota, buffer_.num_rows());
+  if (!schema_bytes_.empty()) {
+    if (!r->ConsumeIfEquals(schema_bytes_.data(), schema_bytes_.size())) {
+      return Status::Corruption("contribution schema differs from the group's");
+    }
+    return buffer_.AppendSerializedRows(r, room);
+  }
+  auto schema = data::Schema::Deserialize(r);
+  if (!schema.ok()) return schema.status();
+  data::Table first(std::move(*schema));
+  auto rows = first.AppendSerializedRows(r, room);
+  if (!rows.ok()) return rows.status();
+  buffer_ = std::move(first);
+  CacheSchemaBytes();
+  return rows;
+}
+
+void SnapshotBuilderActor::CacheSchemaBytes() {
+  Writer w;
+  buffer_.schema().Serialize(&w);
+  schema_bytes_ = w.Take();
 }
 
 void SnapshotBuilderActor::MaybeEmit() {
@@ -191,13 +222,11 @@ void SnapshotBuilderActor::EmitSlice() {
     config_.trace->Record(now(), TraceEventKind::kSliceEmitted,
                           dev()->id(), config_.partition, config_.vgroup);
   }
-  SnapshotSliceMsg msg;
-  msg.query_id = config_.query_id;
-  msg.partition = config_.partition;
-  msg.vgroup = config_.vgroup;
-  msg.epoch = emit_epoch();
-  msg.rows = buffer_;
-  SealAndSendAll(config_.computers, kSnapshotSlice, msg.Encode());
+  SealAndSendAll(config_.computers, kSnapshotSlice,
+                 SnapshotSliceMsg::EncodeFrom(config_.query_id,
+                                              config_.partition,
+                                              config_.vgroup, emit_epoch(),
+                                              buffer_));
   MaybeCheckpoint(/*critical=*/true);
 }
 

@@ -2,8 +2,8 @@
 #define EDGELET_EXEC_SNAPSHOT_BUILDER_H_
 
 #include <memory>
-#include <set>
 
+#include "common/hash.h"
 #include "exec/actor.h"
 #include "exec/replica.h"
 
@@ -68,7 +68,8 @@ class SnapshotBuilderActor : public ActorBase {
                : replica_->rank();
   }
 
-  // Serialized volatile state (what a checkpoint persists).
+  // Serialized volatile state (what a checkpoint persists). Seen
+  // contributor keys are written in ascending order.
   Bytes SerializeState() const;
 
  protected:
@@ -76,6 +77,15 @@ class SnapshotBuilderActor : public ActorBase {
 
  private:
   void OnContribution(const net::Message& msg);
+  // Decodes a contribution's schema and row sections straight into
+  // buffer_, appending rows up to the quota; returns the contributed row
+  // count. The first accepted contribution fixes the group's schema;
+  // every later one must carry exactly its serialized bytes. buffer_ is
+  // unchanged on error.
+  Result<uint64_t> DecodeRowsIntoBuffer(Reader* r);
+  // Derives schema_bytes_ from buffer_'s schema (after the first
+  // contribution, and after a restore).
+  void CacheSchemaBytes();
   void MaybeEmit();
   void EmitSlice();
   void EmitSliceWithResends();
@@ -86,11 +96,14 @@ class SnapshotBuilderActor : public ActorBase {
   std::unique_ptr<ReplicaRole> replica_;
   std::unique_ptr<LivenessBeacon> beacon_;
   data::Table buffer_;
-  bool have_schema_ = false;
+  // buffer_'s schema as contributions carry it; empty until the first
+  // contribution fixes the schema (a serialized schema is never empty).
+  Bytes schema_bytes_;
   bool complete_ = false;
   bool emitted_ = false;
   std::vector<uint64_t> included_;
-  std::set<uint64_t> seen_contributors_;
+  // Dedup of contributor keys; sorted only when a checkpoint serializes it.
+  FlatSet64 seen_contributors_;
 };
 
 }  // namespace edgelet::exec

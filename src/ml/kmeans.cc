@@ -95,6 +95,11 @@ Result<KMeansKnowledge> KMeansKnowledge::Deserialize(Reader* r) {
   if (!k.ok()) return k.status();
   auto d = r->GetVarint();
   if (!d.ok()) return d.status();
+  // k counts of at least a byte each, and k centroids of d doubles.
+  EDGELET_RETURN_NOT_OK(r->CheckCount(*k));
+  if (*k > 0) {
+    EDGELET_RETURN_NOT_OK(r->CheckCount(*d, *k * sizeof(double)));
+  }
   out.centroids.resize(*k, std::vector<double>(*d));
   for (uint64_t i = 0; i < *k; ++i) {
     for (uint64_t j = 0; j < *d; ++j) {

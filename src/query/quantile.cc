@@ -108,6 +108,7 @@ Result<QuantileSketch> QuantileSketch::Deserialize(Reader* r) {
   for (uint64_t h = 0; h < *num_levels; ++h) {
     auto n = r->GetVarint();
     if (!n.ok()) return n.status();
+    EDGELET_RETURN_NOT_OK(r->CheckCount(*n, sizeof(double)));
     out.levels_[h].reserve(*n);
     for (uint64_t i = 0; i < *n; ++i) {
       auto v = r->GetDouble();

@@ -90,7 +90,7 @@ void Enclave::TamperCode(const std::string& new_identity) {
   // but carries the tampered measurement.
   report_ = authority_->Attest(id_, measurement_);
   provisioned_ = false;
-  pairwise_cache_.clear();
+  pairwise_keys_.Clear();
 }
 
 Status Enclave::Provision() {
@@ -98,13 +98,14 @@ Status Enclave::Provision() {
   if (!key.ok()) return key.status();
   group_key_ = *key;
   provisioned_ = true;
-  pairwise_cache_.clear();
+  pairwise_keys_.Clear();
   return Status::OK();
 }
 
 const crypto::Key256& Enclave::PairwiseKey(uint64_t peer_id) const {
-  auto it = pairwise_cache_.find(peer_id);
-  if (it != pairwise_cache_.end()) return it->second;
+  bool inserted;
+  crypto::Key256& key = pairwise_keys_.FindOrInsert(peer_id, &inserted);
+  if (!inserted) return key;
   uint64_t lo = std::min(id_, peer_id);
   uint64_t hi = std::max(id_, peer_id);
   Writer w;
@@ -112,9 +113,8 @@ const crypto::Key256& Enclave::PairwiseKey(uint64_t peer_id) const {
   w.PutU64(hi);
   Bytes gk(group_key_.begin(), group_key_.end());
   crypto::Digest256 d = crypto::HmacSha256(gk, w.Take());
-  crypto::Key256 key{};
   std::memcpy(key.data(), d.data(), key.size());
-  return pairwise_cache_.emplace(peer_id, key).first->second;
+  return key;
 }
 
 Status Enclave::SealForInto(uint64_t peer_id, uint64_t seq,

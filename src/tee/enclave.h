@@ -3,9 +3,9 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 
 #include "common/bytes.h"
+#include "common/hash.h"
 #include "common/status.h"
 #include "crypto/aead.h"
 #include "crypto/sha256.h"
@@ -121,10 +121,14 @@ class Enclave {
   uint64_t cleartext_tuples_observed() const { return cleartext_tuples_; }
   uint64_t cleartext_cells_observed() const { return cleartext_cells_; }
 
+  // Peers whose pairwise key is currently cached (tests and telemetry).
+  size_t cached_pairwise_keys() const { return pairwise_keys_.size(); }
+
  private:
   // HKDF-style derivation is ~1.5µs per call; the derived key for a peer is
-  // immutable for the lifetime of a group key, so it is cached. The cache is
-  // invalidated whenever the group key can change (Provision, TamperCode).
+  // immutable for the lifetime of a group key, so it is cached in a flat
+  // open-addressing table (one probe on the per-message path). The cache
+  // is emptied whenever the group key can change (Provision, TamperCode).
   const crypto::Key256& PairwiseKey(uint64_t peer_id) const;
 
   uint64_t id_;
@@ -139,7 +143,7 @@ class Enclave {
   uint64_t storage_seq_ = 0;
   uint64_t cleartext_tuples_ = 0;
   uint64_t cleartext_cells_ = 0;
-  mutable std::unordered_map<uint64_t, crypto::Key256> pairwise_cache_;
+  mutable FlatTable64<crypto::Key256> pairwise_keys_;
 };
 
 }  // namespace edgelet::tee

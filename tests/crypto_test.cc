@@ -469,6 +469,93 @@ TEST(AeadTest, EverySingleBitFlipRejected) {
   }
 }
 
+// --- AEAD: the 192-byte short-message cutoff ------------------------------
+
+// RFC 8439 §2.8 composed from its parts: the one-time key from the scalar
+// ChaCha20Block at counter 0, the payload XOR from counter 1, and the tag
+// over aad || pad16 || ct || pad16 || le64(len aad) || le64(len ct).
+Bytes ReferenceSeal(const Key256& key, const Nonce96& nonce, const Bytes& aad,
+                    const Bytes& plaintext) {
+  std::array<uint8_t, 64> block0 = ChaCha20Block(key, nonce, 0);
+  std::array<uint8_t, 32> otk;
+  std::memcpy(otk.data(), block0.data(), otk.size());
+  Bytes ct = plaintext;
+  ChaCha20XorInPlace(key, nonce, 1, ct.data(), ct.size());
+  Bytes mac_input = aad;
+  mac_input.resize((aad.size() + 15) / 16 * 16, 0);
+  mac_input.insert(mac_input.end(), ct.begin(), ct.end());
+  mac_input.resize((mac_input.size() + 15) / 16 * 16, 0);
+  for (uint64_t len : {uint64_t{aad.size()}, uint64_t{ct.size()}}) {
+    for (int i = 0; i < 8; ++i) {
+      mac_input.push_back(static_cast<uint8_t>(len >> (8 * i)));
+    }
+  }
+  Tag128 tag = Poly1305Mac(otk, mac_input);
+  ct.insert(ct.end(), tag.begin(), tag.end());
+  return ct;
+}
+
+TEST(AeadTest, MatchesReferenceCompositionAcrossShortCutoff) {
+  // Lengths 0-320 cover the one-batch path (<= 192), the cutoff itself,
+  // and the bulk path's scalar, 4-block and tail cases beyond it.
+  Key256 key = TestKey();
+  Bytes sealed, opened;
+  for (size_t aad_len = 0; aad_len <= 40; ++aad_len) {
+    Bytes aad(aad_len);
+    for (size_t i = 0; i < aad_len; ++i) aad[i] = static_cast<uint8_t>(i * 7);
+    for (size_t len = 0; len <= 320; ++len) {
+      Nonce96 nonce = NonceFromSequence(aad_len, len);
+      Bytes plaintext(len);
+      for (size_t i = 0; i < len; ++i) {
+        plaintext[i] = static_cast<uint8_t>(i * 31 + aad_len);
+      }
+      Bytes expected = ReferenceSeal(key, nonce, aad, plaintext);
+      AeadSealInto(key, nonce, aad.data(), aad.size(), plaintext.data(),
+                   plaintext.size(), &sealed);
+      ASSERT_EQ(sealed, expected) << "len " << len << " aad " << aad_len;
+      ASSERT_TRUE(AeadOpenInto(key, nonce, aad.data(), aad.size(),
+                               expected.data(), expected.size(), &opened)
+                      .ok())
+          << "len " << len << " aad " << aad_len;
+      ASSERT_EQ(opened, plaintext) << "len " << len << " aad " << aad_len;
+    }
+  }
+}
+
+TEST(AeadTest, BitFlipRejectedEitherSideOfShortCutoff) {
+  Key256 key = TestKey();
+  Bytes aad = BytesFromString("hdr");
+  Bytes out;
+  for (size_t len : {size_t{192}, size_t{193}}) {
+    Nonce96 nonce = NonceFromSequence(5, len);
+    Bytes sealed = AeadSeal(key, nonce, aad, Bytes(len, 0xA5));
+    for (size_t byte = 0; byte < sealed.size(); ++byte) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Bytes corrupt = sealed;
+        corrupt[byte] ^= static_cast<uint8_t>(1 << bit);
+        EXPECT_FALSE(AeadOpenInto(key, nonce, aad.data(), aad.size(),
+                                  corrupt.data(), corrupt.size(), &out)
+                         .ok())
+            << "len " << len << " byte " << byte << " bit " << bit;
+      }
+    }
+  }
+}
+
+TEST(ChaCha20Test, Blocks4MatchesFourScalarBlocks) {
+  Key256 key = TestKey();
+  Nonce96 nonce = NonceFromSequence(3, 9);
+  for (uint32_t counter : {0u, 1u, 0xFFFFFFFEu}) {
+    uint8_t batch[kChaCha20Batch4Bytes];
+    ChaCha20Blocks4(key, nonce, counter, batch);
+    for (uint32_t j = 0; j < 4; ++j) {
+      std::array<uint8_t, 64> block = ChaCha20Block(key, nonce, counter + j);
+      EXPECT_EQ(std::memcmp(batch + 64 * j, block.data(), 64), 0)
+          << "counter " << counter << " block " << j;
+    }
+  }
+}
+
 // --- NonceFromSequence: 64-bit channel ids --------------------------------
 
 TEST(AeadTest, NonceFromSequenceUsesHighChannelBits) {

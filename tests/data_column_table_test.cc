@@ -229,6 +229,42 @@ TEST(TableViewTest, SelectComposesWithSlice) {
   EXPECT_EQ(again.At(0, "id")->AsInt64(), 7);
 }
 
+TEST(WireProjectionTest, BytesEqualProjectThenSerialize) {
+  // NULLs in every column, negative and extreme ints, an empty string.
+  Table t(TestSchema());
+  ASSERT_TRUE(t.Append({Value(int64_t{-7}), Value(""), Value(-0.0)}).ok());
+  ASSERT_TRUE(t.Append({Value(), Value("bob"), Value()}).ok());
+  ASSERT_TRUE(
+      t.Append({Value(INT64_MIN), Value(), Value(1e300)}).ok());
+  ASSERT_TRUE(t.Append({Value(INT64_MAX), Value(std::string(300, 'z')),
+                        Value(2.5)})
+                  .ok());
+  auto store = Store(t);
+  TableView all(store);
+  const std::vector<std::vector<std::string>> projections = {
+      {"id", "name", "score"}, {"score", "id"}, {"name"}};
+  for (const auto& columns : projections) {
+    auto p = WireProjection::Resolve(store->schema(), columns);
+    ASSERT_TRUE(p.ok());
+    for (const TableView& view :
+         {all, all.Slice(1, 2), all.Select({3, 0}), all.Slice(4, 0)}) {
+      Writer want;
+      view.ProjectToTable(columns)->Serialize(&want);
+      Writer got;
+      p->Write(view, &got);
+      EXPECT_EQ(got.data(), want.data());
+    }
+    for (size_t row = 0; row < store->num_rows(); ++row) {
+      Writer want;
+      all.Slice(row, 1).ProjectToTable(columns)->Serialize(&want);
+      Writer got;
+      p->WriteRow(*store, row, &got);
+      EXPECT_EQ(got.data(), want.data()) << "row " << row;
+    }
+  }
+  EXPECT_FALSE(WireProjection::Resolve(store->schema(), {"nope"}).ok());
+}
+
 TEST(TableViewTest, ProjectToTable) {
   auto store = Store(TestTable());
   TableView v = TableView(store).Slice(0, 2);

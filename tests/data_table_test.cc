@@ -192,6 +192,70 @@ TEST(TableTest, DeserializeTruncatedFails) {
   EXPECT_FALSE(Table::Deserialize(&r).ok());
 }
 
+// A wire count the input cannot back must fail cleanly: sizing a container
+// from it would throw std::bad_alloc (or loop for hours) instead.
+constexpr uint64_t kHostileCount = uint64_t{1} << 40;
+
+TEST(TableTest, HostileRowCountRejected) {
+  Writer w;
+  TestSchema().Serialize(&w);
+  w.PutVarint(kHostileCount);
+  Value(int64_t{1}).Serialize(&w);
+  Value("x").Serialize(&w);
+  Value(1.0).Serialize(&w);
+  Reader r(w.data());
+  auto t = Table::Deserialize(&r);
+  ASSERT_FALSE(t.ok());
+  EXPECT_EQ(t.status().code(), StatusCode::kCorruption);
+}
+
+TEST(TableTest, HostileRowCountRejectedForZeroColumnSchema) {
+  // No cells to run out of: each zero-column row is charged one byte.
+  Writer w;
+  Schema().Serialize(&w);
+  w.PutVarint(kHostileCount);
+  Reader r(w.data());
+  EXPECT_FALSE(Table::Deserialize(&r).ok());
+}
+
+TEST(SchemaTest, HostileColumnCountRejected) {
+  Writer w;
+  w.PutVarint(kHostileCount);
+  w.PutString("a");
+  w.PutU8(static_cast<uint8_t>(ValueType::kInt64));
+  Reader r(w.data());
+  auto s = Schema::Deserialize(&r);
+  ASSERT_FALSE(s.ok());
+  EXPECT_EQ(s.status().code(), StatusCode::kCorruption);
+}
+
+TEST(TableTest, AppendSerializedRowsCapsAndKeepsTableOnError) {
+  Table src = TestTable();
+  Writer w;
+  src.Serialize(&w);
+  Reader schema_reader(w.data());
+  ASSERT_TRUE(Schema::Deserialize(&schema_reader).ok());
+  const size_t rows_at = w.size() - schema_reader.remaining();
+  const Bytes rows(w.data().begin() + static_cast<ptrdiff_t>(rows_at),
+                   w.data().end());
+
+  // The cap keeps the first rows; the whole section is still consumed.
+  Table t(TestSchema());
+  Reader r(rows);
+  auto n = t.AppendSerializedRows(&r, 2);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(*n, 3u);
+  EXPECT_TRUE(r.AtEnd());
+  ASSERT_EQ(t.num_rows(), 2u);
+  EXPECT_EQ(t.row(1), src.row(1));
+
+  // A corrupt tail fails the section and leaves the table as it was.
+  Bytes cut(rows.begin(), rows.end() - 3);
+  Reader bad(cut);
+  EXPECT_FALSE(t.AppendSerializedRows(&bad).ok());
+  EXPECT_EQ(t.num_rows(), 2u);
+}
+
 // --- CSV ----------------------------------------------------------------------
 
 TEST(CsvTest, RoundTrip) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "exec/combiner.h"
 #include "exec/computer.h"
 #include "exec/snapshot_builder.h"
@@ -188,6 +190,153 @@ TEST_F(ActorTest, SnapshotBuilderIgnoresWrongQuery) {
   SendContribution(contributor, sb_dev->id(), 1, "north", 20.0);
   sim_.RunUntil(kMinute);
   EXPECT_FALSE(sb.snapshot_complete());
+}
+
+SnapshotBuilderActor::Config CollectingBuilder(device::Device* sb_dev,
+                                              device::Device* sink_dev) {
+  SnapshotBuilderActor::Config cfg;
+  cfg.query_id = 1;
+  cfg.quota = 1000;  // never completes: the tests inspect collection state
+  cfg.computers = {sink_dev->id()};
+  cfg.columns = {"region", "bmi"};
+  cfg.replica.group_id = 1;
+  cfg.replica.members = {sb_dev->id()};
+  return cfg;
+}
+
+// Offset of the seen-contributors section in a builder's state: after the
+// three flags, the buffer table, and the included-keys list.
+size_t SeenSectionOffset(const Bytes& state) {
+  Reader r(state);
+  for (int i = 0; i < 3; ++i) EXPECT_TRUE(r.GetBool().ok());
+  EXPECT_TRUE(data::Table::Deserialize(&r).ok());
+  auto n = r.GetVarint();
+  EXPECT_TRUE(n.ok());
+  for (uint64_t i = 0; i < *n; ++i) EXPECT_TRUE(r.GetU64().ok());
+  return state.size() - r.remaining();
+}
+
+TEST_F(ActorTest, SnapshotBuilderStateWritesSeenKeysInSortedOrder) {
+  device::Device* sb_dev = NewDevice();
+  device::Device* sink_dev = NewDevice();
+  SnapshotBuilderActor sb(&transport_, sb_dev,
+                          CollectingBuilder(sb_dev, sink_dev));
+  sb.Start();
+  // Keys in scrambled order, incl. 0 and the largest key, some repeated.
+  const std::vector<uint64_t> keys = {
+      90, 3, UINT64_MAX, 0, 17, 1ull << 40, 3, 255, 256, 90, 5, 12345678901};
+  device::Device* contributor = NewDevice();
+  for (uint64_t key : keys) {
+    SendContribution(contributor, sb_dev->id(), key, "north", 20.0);
+  }
+  sim_.RunUntil(kMinute);
+  const std::set<uint64_t> unique(keys.begin(), keys.end());
+  ASSERT_EQ(sb.tuples_collected(), unique.size());
+
+  // The state must equal what the ordered std::set of keys serialized:
+  // everything before the section, then the count and keys ascending.
+  const Bytes state = sb.SerializeState();
+  const size_t offset = SeenSectionOffset(state);
+  Writer want;
+  want.PutRaw(state.data(), offset);
+  want.PutVarint(unique.size());
+  for (uint64_t k : unique) want.PutU64(k);
+  EXPECT_EQ(state, want.data());
+}
+
+TEST_F(ActorTest, SnapshotBuilderResumesDecodingAndDedupAfterRestore) {
+  device::Device* sb_dev = NewDevice();
+  device::Device* sink_dev = NewDevice();
+  device::Device* contributor = NewDevice();
+  SnapshotBuilderActor first(&transport_, sb_dev,
+                             CollectingBuilder(sb_dev, sink_dev));
+  first.Start();
+  for (uint64_t key : {4, 8, 15}) {
+    SendContribution(contributor, sb_dev->id(), key, "south", 30.0 + key);
+  }
+  sim_.RunUntil(kMinute);
+  ASSERT_EQ(first.tuples_collected(), 3u);
+  const Bytes state = first.SerializeState();
+
+  // A rebooted replica resumes from the checkpoint on a fresh device.
+  device::Device* resumed_dev = NewDevice();
+  auto cfg = CollectingBuilder(resumed_dev, sink_dev);
+  cfg.resume_state = state;
+  SnapshotBuilderActor resumed(&transport_, resumed_dev, cfg);
+  resumed.Start();
+  EXPECT_EQ(resumed.SerializeState(), state);
+
+  // A new contributor still decodes against the restored schema, and a
+  // key seen before the crash is still a duplicate.
+  SendContribution(contributor, resumed_dev->id(), 8, "south", 99.0);
+  SendContribution(contributor, resumed_dev->id(), 16, "east", 41.0);
+  sim_.RunUntil(2 * kMinute);
+  EXPECT_EQ(resumed.tuples_collected(), 4u);
+  EXPECT_EQ(resumed.included_contributors(),
+            (std::vector<uint64_t>{4, 8, 15, 16}));
+
+  // A contribution whose schema section differs is rejected.
+  ContributionMsg other;
+  other.query_id = 1;
+  other.contributor_key = 23;
+  other.rows =
+      data::Table(data::Schema({{"region", data::ValueType::kString}}));
+  other.rows.AppendUnchecked({data::Value("west")});
+  ASSERT_TRUE(contributor
+                  ->SendSealed(resumed_dev->id(), kContribution,
+                               other.Encode())
+                  .ok());
+  sim_.RunUntil(3 * kMinute);
+  EXPECT_EQ(resumed.tuples_collected(), 4u);
+}
+
+TEST_F(ActorTest, SnapshotBuilderRejectsHostileContributionRowCount) {
+  device::Device* sb_dev = NewDevice();
+  device::Device* sink_dev = NewDevice();
+  SnapshotBuilderActor sb(&transport_, sb_dev,
+                          CollectingBuilder(sb_dev, sink_dev));
+  sb.Start();
+  device::Device* contributor = NewDevice();
+  // The group's schema, then a row count of 2^40 behind a single row.
+  for (bool first : {true, false}) {
+    Writer w;
+    w.PutU64(1);
+    w.PutU64(first ? 100 : 101);
+    MiniSchema().Serialize(&w);
+    w.PutVarint(uint64_t{1} << 40);
+    data::Value("north").Serialize(&w);
+    data::Value(20.0).Serialize(&w);
+    ASSERT_TRUE(
+        contributor->SendSealed(sb_dev->id(), kContribution, w.Take()).ok());
+    // The rejected key is not marked seen: its honest contribution lands.
+    SendContribution(contributor, sb_dev->id(), first ? 100 : 101, "north",
+                     21.0);
+  }
+  sim_.RunUntil(kMinute);
+  EXPECT_EQ(sb.tuples_collected(), 2u);
+  EXPECT_EQ(sb.included_contributors(), (std::vector<uint64_t>{100, 101}));
+}
+
+TEST_F(ActorTest, SnapshotBuilderRejectsHostileResumeCounts) {
+  device::Device* sb_dev = NewDevice();
+  device::Device* sink_dev = NewDevice();
+  // Valid flags and an empty buffer, then 2^40 included keys.
+  Writer w;
+  w.PutBool(true);
+  w.PutBool(false);
+  w.PutBool(false);
+  data::Table(data::Schema({{"region", data::ValueType::kString}}))
+      .Serialize(&w);
+  w.PutVarint(uint64_t{1} << 40);
+  w.PutU64(1);
+  auto cfg = CollectingBuilder(sb_dev, sink_dev);
+  cfg.resume_state = w.Take();
+  SnapshotBuilderActor sb(&transport_, sb_dev, cfg);
+  sb.Start();  // undecodable state: starts fresh instead of throwing
+  EXPECT_EQ(sb.tuples_collected(), 0u);
+  SendContribution(NewDevice(), sb_dev->id(), 1, "north", 20.0);
+  sim_.RunUntil(kMinute);
+  EXPECT_EQ(sb.tuples_collected(), 1u);
 }
 
 // Captures decoded GS partials a combiner would receive.

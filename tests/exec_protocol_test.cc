@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <memory>
+
+#include "common/rng.h"
+#include "data/column_table.h"
 #include "data/generator.h"
 #include "exec/execution.h"
+#include "query/quantile.h"
+#include "query/scan.h"
 
 namespace edgelet::exec {
 namespace {
@@ -117,6 +125,209 @@ TEST(ProtocolTest, TruncatedMessagesFail) {
     Bytes truncated(full.begin(), full.begin() + cut);
     EXPECT_FALSE(ContributionMsg::Decode(truncated).ok()) << cut;
   }
+}
+
+// --- Hostile element counts --------------------------------------------------
+
+// A wire count the input cannot back must fail the decode cleanly instead
+// of sizing a container from it (std::bad_alloc would abort the actor).
+constexpr uint64_t kHostileCount = uint64_t{1} << 40;
+
+TEST(ProtocolTest, HostileContributionRowCountRejected) {
+  // The 30-byte message: header, a one-column schema, a row count of
+  // 2^40, then a single real cell and two bytes of slack.
+  Writer w;
+  w.PutU64(1);
+  w.PutU64(2);
+  data::Schema({{"a", data::ValueType::kInt64}}).Serialize(&w);
+  w.PutVarint(kHostileCount);
+  data::Value(int64_t{5}).Serialize(&w);
+  w.PutU8(0);
+  w.PutU8(0);
+  ASSERT_EQ(w.size(), 30u);
+  auto decoded = ContributionMsg::Decode(w.data());
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(ProtocolTest, HostileSchemaAndSliceCountsRejected) {
+  Writer schema_count;
+  schema_count.PutU64(1);
+  schema_count.PutU64(2);
+  schema_count.PutVarint(kHostileCount);  // columns
+  schema_count.PutString("a");
+  schema_count.PutU8(1);
+  EXPECT_FALSE(ContributionMsg::Decode(schema_count.data()).ok());
+
+  Writer slice;
+  slice.PutU64(1);
+  slice.PutU32(0);
+  slice.PutU32(0);
+  slice.PutU32(0);
+  data::Schema({{"a", data::ValueType::kDouble}}).Serialize(&slice);
+  slice.PutVarint(kHostileCount);
+  EXPECT_FALSE(SnapshotSliceMsg::Decode(slice.data()).ok());
+}
+
+TEST(ProtocolTest, HostileClusterAndCentroidCountsRejected) {
+  // KmFinalMsg: an empty knowledge block, then 2^40 clusters.
+  Writer clusters;
+  clusters.PutU64(1);
+  clusters.PutU32(0);
+  clusters.PutVarint(0);  // k
+  clusters.PutVarint(0);  // d
+  clusters.PutVarint(kHostileCount);
+  EXPECT_FALSE(KmFinalMsg::Decode(clusters.data()).ok());
+
+  // One cluster claiming 2^40 aggregate states.
+  Writer states;
+  states.PutU64(1);
+  states.PutU32(0);
+  states.PutVarint(0);
+  states.PutVarint(0);
+  states.PutVarint(1);
+  states.PutVarint(kHostileCount);
+  EXPECT_FALSE(KmFinalMsg::Decode(states.data()).ok());
+
+  // KmKnowledgeMsg with 2^40 centroids, then with 2^40 dimensions.
+  for (bool hostile_k : {true, false}) {
+    Writer w;
+    w.PutU64(1);
+    w.PutU32(0);
+    w.PutU32(0);
+    w.PutVarint(hostile_k ? kHostileCount : 2);
+    w.PutVarint(hostile_k ? 2 : kHostileCount);
+    w.PutDouble(1.0);
+    EXPECT_FALSE(KmKnowledgeMsg::Decode(w.data()).ok()) << hostile_k;
+  }
+}
+
+TEST(ProtocolTest, HostileQuantileLevelCountRejected) {
+  Writer w;
+  w.PutVarint(128);  // k
+  w.PutVarint(1);    // count
+  w.PutVarint(1);    // levels
+  w.PutVarint(kHostileCount);
+  w.PutDouble(1.0);
+  Reader r(w.data());
+  EXPECT_FALSE(query::QuantileSketch::Deserialize(&r).ok());
+}
+
+// --- ContributionEncoder: wire identity -------------------------------------
+
+// A population exercising every cell encoding: NULLs in every column,
+// negative and extreme int64s (multi-byte zigzag varints), doubles incl.
+// -0.0 and infinities, strings incl. empty and >127-byte ones (two-byte
+// length prefix), plus an all-NULL column.
+std::shared_ptr<const data::ColumnTable> WireTestStore(size_t rows,
+                                                       uint64_t seed) {
+  data::ColumnTable store(data::Schema({{"id", data::ValueType::kInt64},
+                                        {"name", data::ValueType::kString},
+                                        {"score", data::ValueType::kDouble},
+                                        {"big", data::ValueType::kInt64},
+                                        {"tag", data::ValueType::kString},
+                                        {"void", data::ValueType::kNull}}));
+  const int64_t kInts[] = {0,
+                           -1,
+                           63,
+                           -64,
+                           1 << 20,
+                           -(int64_t{1} << 40),
+                           std::numeric_limits<int64_t>::max(),
+                           std::numeric_limits<int64_t>::min()};
+  const double kDoubles[] = {0.0, -0.0, 1.5, -2.25e300,
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::denorm_min()};
+  const std::string kStrings[] = {"", "north", std::string(200, 'x'),
+                                  "caf\xc3\xa9"};
+  Rng rng(seed);
+  for (size_t r = 0; r < rows; ++r) {
+    auto null = [&]() { return rng.NextBelow(5) == 0; };
+    if (null()) store.AppendNull(0);
+    else store.AppendInt64(0, static_cast<int64_t>(r) - 100);
+    if (null()) store.AppendNull(1);
+    else store.AppendString(1, kStrings[rng.NextBelow(4)]);
+    if (null()) store.AppendNull(2);
+    else store.AppendDouble(2, kDoubles[rng.NextBelow(7)]);
+    if (null()) store.AppendNull(3);
+    else store.AppendInt64(3, kInts[rng.NextBelow(8)]);
+    if (null()) store.AppendNull(4);
+    else store.AppendString(4, "t" + std::to_string(rng.NextBelow(300)));
+    store.AppendNull(5);
+    store.FinishRow();
+  }
+  return std::make_shared<const data::ColumnTable>(std::move(store));
+}
+
+Bytes ReferenceContribution(uint64_t query_id, uint64_t key,
+                            const data::TableView& rows,
+                            const std::vector<std::string>& columns) {
+  auto projected = rows.ProjectToTable(columns);
+  EXPECT_TRUE(projected.ok());
+  ContributionMsg msg;
+  msg.query_id = query_id;
+  msg.contributor_key = key;
+  msg.rows = std::move(*projected);
+  return msg.Encode();
+}
+
+TEST(ContributionEncoderTest, BytesEqualProjectThenEncode) {
+  auto store = WireTestStore(400, 11);
+  const data::TableView all(store);
+  const std::vector<std::vector<std::string>> vgroups = {
+      {"id", "name", "score", "big", "tag", "void"},
+      {"score"},
+      {"tag", "id"},
+      {"void", "big", "name"},
+      {}};
+  auto encoder = ContributionEncoder::Resolve(77, store->schema(), vgroups);
+  ASSERT_TRUE(encoder.ok()) << encoder.status().ToString();
+
+  // Multi-row views as a ContributorActor holds them: contiguous slices,
+  // a predicate-qualified selection, and an empty view.
+  auto qualified = query::ApplyPredicates(
+      all, {{"score", query::CompareOp::kGt, data::Value(0.0)}});
+  ASSERT_TRUE(qualified.ok());
+  ASSERT_FALSE(qualified->contiguous());
+  const std::vector<data::TableView> views = {
+      all, all.Slice(17, 40), all.Slice(399, 5), *qualified,
+      qualified->Slice(3, 9), all.Slice(0, 0)};
+
+  for (size_t vg = 0; vg < vgroups.size(); ++vg) {
+    // One-row cohort members, straight from the store row.
+    for (size_t row = 0; row < store->num_rows(); ++row) {
+      const uint64_t key = 0x9E3779B97F4A7C15ULL * (row + 1);
+      ASSERT_EQ(encoder->EncodeRow(vg, key, *store, row),
+                ReferenceContribution(77, key, all.Slice(row, 1), vgroups[vg]))
+          << "vgroup " << vg << " row " << row;
+    }
+    for (size_t v = 0; v < views.size(); ++v) {
+      ASSERT_EQ(encoder->Encode(vg, v, views[v]),
+                ReferenceContribution(77, v, views[v], vgroups[vg]))
+          << "vgroup " << vg << " view " << v;
+    }
+  }
+}
+
+TEST(ContributionEncoderTest, DecodesToTheProjectedRows) {
+  auto store = WireTestStore(50, 3);
+  const data::TableView all(store);
+  const std::vector<std::string> columns = {"tag", "big", "score"};
+  auto encoder = ContributionEncoder::Resolve(5, store->schema(), {columns});
+  ASSERT_TRUE(encoder.ok());
+  auto back = ContributionMsg::Decode(encoder->Encode(0, 9, all));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(back->query_id, 5u);
+  EXPECT_EQ(back->contributor_key, 9u);
+  EXPECT_EQ(back->rows, *all.ProjectToTable(columns));
+}
+
+TEST(ContributionEncoderTest, UnknownColumnFailsToResolve) {
+  auto store = WireTestStore(1, 1);
+  EXPECT_FALSE(
+      ContributionEncoder::Resolve(1, store->schema(), {{"id"}, {"nope"}})
+          .ok());
 }
 
 TEST(ClusterStatsTest, PermuteReorders) {

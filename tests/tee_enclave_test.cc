@@ -2,6 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
+#include <vector>
+
+#include "common/rng.h"
+#include "common/serialize.h"
+
 namespace edgelet::tee {
 namespace {
 
@@ -166,6 +174,83 @@ TEST_F(EnclaveTest, PairwiseKeyCacheSurvivesReprovision) {
   auto sealed = a.SealFor(2, 100, aad, BytesFromString("pong"));
   ASSERT_TRUE(sealed.ok());
   EXPECT_TRUE(b.OpenFrom(1, 100, aad, *sealed).ok());
+}
+
+// The pairwise key derived from first principles: HMAC-SHA256 under the
+// group key over the ordered id pair.
+crypto::Key256 FreshPairwiseKey(const crypto::Key256& group_key, uint64_t a,
+                                uint64_t b) {
+  Writer w;
+  w.PutU64(std::min(a, b));
+  w.PutU64(std::max(a, b));
+  crypto::Digest256 d = crypto::HmacSha256(
+      Bytes(group_key.begin(), group_key.end()), w.Take());
+  crypto::Key256 key;
+  std::memcpy(key.data(), d.data(), key.size());
+  return key;
+}
+
+TEST_F(EnclaveTest, PairwiseKeyTableMatchesFreshDerivationAtScale) {
+  Enclave a = MakeEnclave(1);
+  ASSERT_TRUE(a.Provision().ok());
+  auto group_key = authority_.ProvisionGroupKey(a.report());
+  ASSERT_TRUE(group_key.ok());
+
+  // 10k peers in scrambled order (the table grows through many
+  // rehashes), including id 0 — the table's empty-slot marker — and the
+  // largest id.
+  std::vector<uint64_t> peers = {0, UINT64_MAX, 1};
+  Rng rng(17);
+  while (peers.size() < 10000) peers.push_back(rng.NextU64() >> 8);
+  const Bytes aad = BytesFromString("hdr");
+  const Bytes msg = BytesFromString("contribution");
+  for (int pass = 0; pass < 2; ++pass) {  // cold, then every key cached
+    for (size_t i = 0; i < peers.size(); ++i) {
+      const uint64_t peer = peers[i];
+      const uint64_t seq = pass * peers.size() + i;
+      auto sealed = a.SealFor(peer, seq, aad, msg);
+      ASSERT_TRUE(sealed.ok());
+      ASSERT_EQ(*sealed,
+                crypto::AeadSeal(FreshPairwiseKey(*group_key, 1, peer),
+                                 crypto::NonceFromSequence(1, seq), aad, msg))
+          << "peer " << peer << " pass " << pass;
+    }
+  }
+  EXPECT_EQ(a.cached_pairwise_keys(), peers.size());
+}
+
+TEST_F(EnclaveTest, PairwiseKeyIsSymmetricAcrossDirections) {
+  Enclave a = MakeEnclave(3);
+  Enclave b = MakeEnclave(900);
+  ASSERT_TRUE(a.Provision().ok());
+  ASSERT_TRUE(b.Provision().ok());
+  const Bytes aad;
+  // A->B under B's cached key for A, and B->A under A's cached key for B.
+  for (uint64_t seq = 0; seq < 4; ++seq) {
+    auto ab = a.SealFor(900, seq, aad, BytesFromString("to b"));
+    ASSERT_TRUE(ab.ok());
+    EXPECT_TRUE(b.OpenFrom(3, seq, aad, *ab).ok());
+    auto ba = b.SealFor(3, seq, aad, BytesFromString("to a"));
+    ASSERT_TRUE(ba.ok());
+    EXPECT_TRUE(a.OpenFrom(900, seq, aad, *ba).ok());
+  }
+  EXPECT_EQ(a.cached_pairwise_keys(), 1u);
+  EXPECT_EQ(b.cached_pairwise_keys(), 1u);
+}
+
+TEST_F(EnclaveTest, ProvisionAndTamperEmptyTheKeyTable) {
+  Enclave a = MakeEnclave(1);
+  ASSERT_TRUE(a.Provision().ok());
+  for (uint64_t peer = 2; peer < 50; ++peer) {
+    ASSERT_TRUE(a.SealFor(peer, peer, {}, BytesFromString("x")).ok());
+  }
+  EXPECT_EQ(a.cached_pairwise_keys(), 48u);
+  ASSERT_TRUE(a.Provision().ok());
+  EXPECT_EQ(a.cached_pairwise_keys(), 0u);
+  ASSERT_TRUE(a.SealFor(2, 100, {}, BytesFromString("x")).ok());
+  EXPECT_EQ(a.cached_pairwise_keys(), 1u);
+  a.TamperCode("evil");
+  EXPECT_EQ(a.cached_pairwise_keys(), 0u);
 }
 
 TEST_F(EnclaveTest, UnprovisionedCannotUseChannels) {
