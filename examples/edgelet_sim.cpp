@@ -52,7 +52,7 @@ void PrintUsage() {
       "  --churn                   enable device churn\n"
       "  --heartbeats=N            K-Means rounds (default 8)\n"
       "  --trace                   print the execution timeline\n"
-      "  --seed=S                  deterministic seed (default 1)\n");
+      "  --seed=S                  deterministic nonzero seed (default 1)\n");
 }
 
 bool ParseFlag(const char* arg, const char* name, std::string* out) {
@@ -94,6 +94,11 @@ bool ParseOptions(int argc, char** argv, Options* opts) {
       opts->heartbeats = std::atoi(value.c_str());
     } else if (ParseFlag(argv[i], "seed", &value)) {
       opts->seed = std::strtoull(value.c_str(), nullptr, 10);
+      if (opts->seed == 0) {
+        // The seed doubles as the query id, and query id 0 is invalid.
+        std::fprintf(stderr, "--seed must be nonzero\n\n");
+        return false;
+      }
     } else {
       std::fprintf(stderr, "unknown flag: %s\n\n", argv[i]);
       return false;

@@ -84,15 +84,6 @@ Status EdgeletFramework::Init() {
   return Status::OK();
 }
 
-const data::Table& EdgeletFramework::population() const {
-  if (population_table_cache_ == nullptr) {
-    population_table_cache_ = std::make_unique<data::Table>(
-        population_store_ == nullptr ? data::Table()
-                                     : population_store_->ToTable());
-  }
-  return *population_table_cache_;
-}
-
 Result<exec::Deployment> EdgeletFramework::Plan(
     const query::Query& query, const PrivacyConfig& privacy,
     const resilience::ResilienceConfig& resilience, exec::Strategy strategy) {

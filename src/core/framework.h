@@ -98,15 +98,6 @@ class EdgeletFramework {
   const std::shared_ptr<const data::ColumnTable>& population_store() const {
     return population_store_;
   }
-  // Compatibility accessor: materializes (and caches) the population as a
-  // row Table on first call. O(rows) — tests and small demos only; scale
-  // paths must use population_view(). population_materialized() reports
-  // whether that fallback ever ran (the no-duplication tests assert it
-  // stays false at crowd scale).
-  const data::Table& population() const;
-  bool population_materialized() const {
-    return population_table_cache_ != nullptr;
-  }
   net::NodeId querier_node() const { return querier_node_; }
   const FrameworkConfig& config() const { return config_; }
 
@@ -203,7 +194,6 @@ class EdgeletFramework {
   std::vector<std::unique_ptr<exec::QueryExecution>> executions_;
   net::NodeId querier_node_ = 0;
   std::shared_ptr<const data::ColumnTable> population_store_;
-  mutable std::unique_ptr<data::Table> population_table_cache_;
   bool initialized_ = false;
   // The service layer, created by ConfigureService/Submit (defined in
   // edgelet_sched). Held type-erased so edgelet_core never needs the

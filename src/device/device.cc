@@ -47,21 +47,6 @@ DeviceProfile DeviceProfile::HomeBox() {
   return p;
 }
 
-Status Device::SetLocalData(data::Table table) {
-  auto store = data::ColumnTable::FromTable(table);
-  if (!store.ok()) return store.status();
-  SetLocalView(data::TableView(
-      std::make_shared<const data::ColumnTable>(std::move(*store))));
-  return Status::OK();
-}
-
-const data::Table& Device::local_data() const {
-  if (local_table_cache_ == nullptr) {
-    local_table_cache_ = std::make_unique<data::Table>(local_view_.ToTable());
-  }
-  return *local_table_cache_;
-}
-
 Device::Device(net::Network* network, const tee::TrustAuthority* authority,
                DeviceProfile profile, const std::string& code_identity)
     : network_(network), profile_(profile) {

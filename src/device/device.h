@@ -67,19 +67,8 @@ class Device : public net::Node {
   // The owner's local rows: a zero-copy view into the shared population
   // store (Fleet::DistributeData hands every device its contiguous member
   // block). The device never owns a row copy of the population.
-  void SetLocalView(data::TableView view) {
-    local_view_ = std::move(view);
-    local_table_cache_.reset();
-  }
+  void SetLocalView(data::TableView view) { local_view_ = std::move(view); }
   const data::TableView& local_view() const { return local_view_; }
-
-  // Compatibility: installs `table` by wrapping it in a private columnar
-  // store (one device-local slab; no second row copy is retained).
-  Status SetLocalData(data::Table table);
-  // Compatibility accessor: materializes (and caches) the view as a row
-  // Table. O(rows) on first call — migration/test paths only; hot paths
-  // read local_view().
-  const data::Table& local_data() const;
 
   // Exactly one actor owns the device *per query*. Pre-multi-tenant code
   // installed a single handler; that survives as the untagged (tag 0) slot.
@@ -153,7 +142,6 @@ class Device : public net::Node {
   net::NodeId id_;
   std::unique_ptr<tee::Enclave> enclave_;
   data::TableView local_view_;
-  mutable std::unique_ptr<data::Table> local_table_cache_;
   struct RestartBinding {
     uint64_t tag = 0;
     const void* owner = nullptr;

@@ -67,13 +67,6 @@ Status Fleet::DistributeData(data::TableView population) {
   return Status::OK();
 }
 
-Status Fleet::DistributeData(const data::Table& table) {
-  auto store = data::ColumnTable::FromTable(table);
-  if (!store.ok()) return store.status();
-  return DistributeData(data::TableView(
-      std::make_shared<const data::ColumnTable>(std::move(*store))));
-}
-
 Status Fleet::ProvisionAll() {
   for (const auto& dev : devices_) {
     EDGELET_RETURN_NOT_OK(dev->enclave().Provision());

@@ -66,9 +66,6 @@ class Fleet {
   // device in the classic fleet). The view's row count must equal
   // contributor_members(). No per-device row copies are made.
   Status DistributeData(data::TableView population);
-  // Compatibility: wraps the row table in one columnar store and
-  // distributes views of it. O(rows) conversion, once.
-  Status DistributeData(const data::Table& table);
 
   // Provisions every enclave with the query-group key (models remote
   // attestation of the published query code).

@@ -35,6 +35,12 @@ void LivenessBeacon::Beat() {
   net_->ScheduleAfter(dev_->id(), config_.period, [this]() { Beat(); });
 }
 
+void OperatorActor::StartBeacon(const LivenessBeacon::Config& config) {
+  if (!config.enabled) return;
+  beacon_ = std::make_unique<LivenessBeacon>(net(), dev(), config);
+  beacon_->Start();
+}
+
 std::optional<ContributionEncoder> ResolveContributionEncoder(
     const device::Device& dev, uint64_t query_id,
     const std::vector<std::vector<std::string>>& vgroup_columns) {

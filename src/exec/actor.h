@@ -2,6 +2,7 @@
 #define EDGELET_EXEC_ACTOR_H_
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -26,6 +27,66 @@ inline SimDuration ResendBackoffDelay(int resend_index, SimDuration base) {
   int shift = resend_index < 20 ? resend_index : 20;  // clamp: no overflow
   return SatMul((SimDuration{1} << shift) - 1, base);
 }
+
+// The one backoff-resend loop: schedules `resend` on `owner`'s timeline at
+// ResendBackoffDelay(i, interval) for i = 1..count — the extra emissions
+// after the one the caller just made. `resend` applies its own guards.
+template <typename Fn>
+void ScheduleBackoffResends(net::Transport* net, net::NodeId owner, int count,
+                            SimDuration interval, const Fn& resend) {
+  for (int i = 1; i <= count; ++i) {
+    net->ScheduleAfter(owner, ResendBackoffDelay(i, interval), resend);
+  }
+}
+
+// Durable checkpoint sink injected into operator actors by the recovery
+// layer (exec/recovery.h): called with the actor's serialized volatile
+// state at state transitions, wrapped into a sealed store record by the
+// owning RecoveryHost. `epoch` is the emission epoch the state belongs
+// to; `critical` marks phase transitions (snapshot complete, output sent)
+// that must persist even when the cadence throttle would skip a routine
+// delta. Null (default) = recovery disabled: no call sites fire, zero
+// overhead, and — because checkpointing never schedules events, sends
+// messages, or draws from node streams — enabling it leaves message
+// timing, and therefore report fingerprints, untouched.
+using CheckpointFn =
+    std::function<void(uint32_t epoch, const Bytes& state, bool critical)>;
+
+// Periodic liveness beacon for the failure-detection subsystem: while the
+// hosting device is alive, renews the operator's lease at the repair
+// controller with a plaintext kOperatorHeartbeat every period. Every
+// replica beats (the detector monitors devices, not leadership); beats
+// from dead devices are dropped by the network and the loop stops
+// rescheduling once the device is dead or the deadline passed.
+class LivenessBeacon {
+ public:
+  struct Config {
+    bool enabled = false;
+    net::NodeId target = 0;  // the controller's device
+    uint64_t query_id = 0;
+    uint64_t op_id = 0;
+    SimDuration period = 5 * kSecond;
+    SimTime stop_at = kSimTimeNever;
+  };
+
+  LivenessBeacon(net::Transport* net, device::Device* dev, Config config);
+
+  // Sends the first beat immediately (in the caller's event context) and
+  // schedules the periodic loop. No-op unless config.enabled. Beats carry
+  // the device's boot epoch as the heartbeat incarnation, and the loop
+  // self-cancels once the device reboots past the beacon's birth epoch —
+  // a resumed operator starts its own beacon under the new epoch.
+  void Start();
+
+ private:
+  void Beat();
+
+  net::Transport* net_;
+  device::Device* dev_;
+  Config config_;
+  uint64_t birth_epoch_ = 0;
+  Bytes payload_;  // encoded once; identical every beat
+};
 
 // One protocol role bound to one device for the duration of a query. The
 // binding is per query tag (= the query id): a device can host one actor
@@ -76,6 +137,29 @@ class ActorBase {
  protected:
   virtual void HandleMessage(const net::Message& msg) = 0;
 
+  // Runs `fn` at `t` (after `delay`) on this device's timeline unless the
+  // actor has gone defunct by then.
+  template <typename Fn>
+  void At(SimTime t, Fn fn) {
+    net_->ScheduleAt(dev_->id(), t, [this, fn = std::move(fn)]() {
+      if (defunct()) return;
+      fn();
+    });
+  }
+  template <typename Fn>
+  void After(SimDuration delay, Fn fn) {
+    At(SatAdd(now(), delay), std::move(fn));
+  }
+  // ScheduleBackoffResends, skipped once the actor is defunct.
+  template <typename Fn>
+  void ScheduleResends(int count, SimDuration interval, const Fn& resend) {
+    ScheduleBackoffResends(net_, dev_->id(), count, interval,
+                           [this, resend]() {
+                             if (defunct()) return;
+                             resend();
+                           });
+  }
+
   // Re-claims the device binding for this actor's tag. Wrapper actors call
   // this after constructing an inner actor on the same device (whose ctor
   // bound itself, last-wins).
@@ -114,53 +198,40 @@ class ActorBase {
   Bytes open_scratch_;
 };
 
-// Durable checkpoint sink injected into operator actors by the recovery
-// layer (exec/recovery.h): called with the actor's serialized volatile
-// state at state transitions, wrapped into a sealed store record by the
-// owning RecoveryHost. `epoch` is the emission epoch the state belongs
-// to; `critical` marks phase transitions (snapshot complete, output sent)
-// that must persist even when the cadence throttle would skip a routine
-// delta. Null (default) = recovery disabled: no call sites fire, zero
-// overhead, and — because checkpointing never schedules events, sends
-// messages, or draws from node streams — enabling it leaves message
-// timing, and therefore report fingerprints, untouched.
-using CheckpointFn =
-    std::function<void(uint32_t epoch, const Bytes& state, bool critical)>;
-
-// Periodic liveness beacon for the failure-detection subsystem: while the
-// hosting device is alive, renews the operator's lease at the repair
-// controller with a plaintext kOperatorHeartbeat every period. Every
-// replica beats (the detector monitors devices, not leadership); beats
-// from dead devices are dropped by the network and the loop stops
-// rescheduling once the device is dead or the deadline passed.
-class LivenessBeacon {
+// A chain operator (snapshot builder, computer, combiner): an actor that
+// checkpoints into the recovery layer and renews a liveness lease at the
+// repair controller. Kept apart from ActorBase so the per-member
+// contributor actors do not carry these fields.
+class OperatorActor : public ActorBase {
  public:
-  struct Config {
-    bool enabled = false;
-    net::NodeId target = 0;  // the controller's device
-    uint64_t query_id = 0;
-    uint64_t op_id = 0;
-    SimDuration period = 5 * kSecond;
-    SimTime stop_at = kSimTimeNever;
-  };
+  OperatorActor(net::Transport* net, device::Device* dev, uint64_t query_tag,
+                CheckpointFn checkpoint)
+      : ActorBase(net, dev, query_tag), checkpoint_(std::move(checkpoint)) {}
 
-  LivenessBeacon(net::Transport* net, device::Device* dev, Config config);
+  // Starts the operator's timers: a fresh start, or a resume from the
+  // config's resume_state.
+  virtual void Start() = 0;
 
-  // Sends the first beat immediately (in the caller's event context) and
-  // schedules the periodic loop. No-op unless config.enabled. Beats carry
-  // the device's boot epoch as the heartbeat incarnation, and the loop
-  // self-cancels once the device reboots past the beacon's birth epoch —
-  // a resumed operator starts its own beacon under the new epoch.
-  void Start();
+  // Serialized volatile state (what a checkpoint persists) and the
+  // emission epoch it belongs to.
+  virtual Bytes SerializeState() const = 0;
+  virtual uint32_t checkpoint_epoch() const { return 0; }
+
+ protected:
+  // Starts renewing this operator's liveness lease (no-op unless the
+  // config is enabled).
+  void StartBeacon(const LivenessBeacon::Config& config);
+
+  // Hands SerializeState() to the checkpoint sink (no-op when recovery is
+  // off). `critical` bypasses the sink's cadence throttle.
+  void MaybeCheckpoint(bool critical) {
+    if (!checkpoint_) return;
+    checkpoint_(checkpoint_epoch(), SerializeState(), critical);
+  }
 
  private:
-  void Beat();
-
-  net::Transport* net_;
-  device::Device* dev_;
-  Config config_;
-  uint64_t birth_epoch_ = 0;
-  Bytes payload_;  // encoded once; identical every beat
+  CheckpointFn checkpoint_;
+  std::unique_ptr<LivenessBeacon> beacon_;
 };
 
 // The contribution encoder of a sender on `dev`, resolved against the

@@ -9,7 +9,8 @@ namespace edgelet::exec {
 
 CombinerActor::CombinerActor(net::Transport* net, device::Device* dev,
                              Config config)
-    : ActorBase(net, dev, config.query_id), config_(std::move(config)) {
+    : OperatorActor(net, dev, config.query_id, config.checkpoint),
+      config_(std::move(config)) {
   replica_ = std::make_unique<ReplicaRole>(net, dev, config_.replica);
   replica_->set_on_promote([this]() { EmitPending(); });
   if (config_.repair.enabled) {
@@ -37,11 +38,7 @@ void CombinerActor::Start() {
   if (config_.emit_at != kSimTimeNever) {
     // max(): a resumed combiner whose emit time passed while it was down
     // emits what it has immediately instead of scheduling into the past.
-    const SimTime at = std::max(config_.emit_at, net()->now());
-    net()->ScheduleAt(dev()->id(), at, [this]() {
-      if (defunct()) return;
-      OnEmitTimer();
-    });
+    At(std::max(config_.emit_at, net()->now()), [this]() { OnEmitTimer(); });
   }
   if (!config_.resume_state.empty()) {
     if (result_ready_) {
@@ -177,11 +174,6 @@ Status CombinerActor::RestoreState(const Bytes& state) {
   return Status::OK();
 }
 
-void CombinerActor::MaybeCheckpoint(bool critical) {
-  if (!config_.checkpoint) return;
-  config_.checkpoint(/*epoch=*/0, SerializeState(), critical);
-}
-
 void CombinerActor::HandleMessage(const net::Message& msg) {
   switch (msg.type) {
     case kGsPartial:
@@ -296,11 +288,8 @@ void CombinerActor::MaybeCombineGs() {
   combining_ = true;
   // Merging n partitions' partials costs time proportional to their group
   // count; approximate with one quota's worth of work.
-  net()->ScheduleAfter(dev()->id(), dev()->ComputeCost(complete_order_.size() * 16),
-                       [this]() {
-                         if (defunct()) return;
-                         CombineAndEmitGs();
-                       });
+  After(dev()->ComputeCost(complete_order_.size() * 16),
+        [this]() { CombineAndEmitGs(); });
 }
 
 void CombinerActor::CombineAndEmitGs() {
@@ -456,18 +445,14 @@ void CombinerActor::CombineAndEmitKm() {
 
 void CombinerActor::EmitWithResends() {
   SendResult(pending_result_);
-  for (int i = 1; i <= config_.result_resends; ++i) {
-    net()->ScheduleAfter(dev()->id(), ResendBackoffDelay(i, config_.resend_interval),
-        [this]() {
-          if (defunct()) return;
-          // A standby that yielded leadership between scheduling and firing
-          // must go quiet even with a result pending — otherwise both the
-          // new leader and the ex-leader keep emitting duplicates.
-          if (result_ready_ && (config_.active_emit || replica_->is_leader())) {
-            SendResult(pending_result_);
-          }
-        });
-  }
+  ScheduleResends(config_.result_resends, config_.resend_interval, [this]() {
+    // A standby that yielded leadership between scheduling and firing must
+    // go quiet even with a result pending — otherwise both the new leader
+    // and the ex-leader keep emitting duplicates.
+    if (result_ready_ && (config_.active_emit || replica_->is_leader())) {
+      SendResult(pending_result_);
+    }
+  });
 }
 
 void CombinerActor::SendResult(const data::Table& table) {

@@ -26,7 +26,7 @@ namespace edgelet::exec {
 // In Overcollection mode two instances run in parallel (Combiner + Active
 // Backup) and both emit; the querier deduplicates. In Backup mode the
 // instances form a leader/standby replica group.
-class CombinerActor : public ActorBase {
+class CombinerActor : public OperatorActor {
  public:
   enum class Mode { kGroupingSets, kKMeans };
 
@@ -71,7 +71,7 @@ class CombinerActor : public ActorBase {
 
   CombinerActor(net::Transport* net, device::Device* dev, Config config);
 
-  void Start();
+  void Start() override;
 
   bool emitted() const { return emitted_; }
   size_t partitions_complete() const { return complete_order_.size(); }
@@ -81,10 +81,9 @@ class CombinerActor : public ActorBase {
     return controller_.get();
   }
 
-  // Serialized volatile state (what a checkpoint persists). K-Means
-  // alignment state and GS partials are both covered; the repair
+  // K-Means alignment state and GS partials are both covered; the repair
   // controller's chains are deliberately volatile (see resume_state).
-  Bytes SerializeState() const;
+  Bytes SerializeState() const override;
 
  protected:
   void HandleMessage(const net::Message& msg) override;
@@ -113,7 +112,6 @@ class CombinerActor : public ActorBase {
   void CombineAndEmitKm();
   void SendResult(const data::Table& table);
   void EmitWithResends();
-  void MaybeCheckpoint(bool critical);
   Status RestoreState(const Bytes& state);
   void OnRecoveryHello(const net::Message& msg);
 

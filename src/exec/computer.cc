@@ -8,7 +8,7 @@ namespace edgelet::exec {
 
 ComputerActor::ComputerActor(net::Transport* net, device::Device* dev,
                              Config config)
-    : ActorBase(net, dev, config.query_id),
+    : OperatorActor(net, dev, config.query_id, config.checkpoint),
       config_(std::move(config)),
       mb_rng_(Mix64(config_.query_id) ^ Mix64(config_.partition + 0x77)) {
   replica_ = std::make_unique<ReplicaRole>(net, dev, config_.replica);
@@ -44,10 +44,7 @@ void ComputerActor::Start() {
     }
   }
   replica_->Start();
-  if (config_.liveness.enabled) {
-    beacon_ = std::make_unique<LivenessBeacon>(net(), dev(), config_.liveness);
-    beacon_->Start();
-  }
+  StartBeacon(config_.liveness);
   if (config_.mode == Mode::kKMeans) {
     for (int round = 0; round < config_.num_heartbeats; ++round) {
       SimTime at = config_.first_heartbeat +
@@ -55,20 +52,14 @@ void ComputerActor::Start() {
       // Rounds whose beat passed while the device was down are lost — the
       // loop advances on the clock, crashed or not (paper §2.2 semantics).
       if (at < net()->now()) continue;
-      net()->ScheduleAt(dev()->id(), at, [this, round]() {
-        if (defunct()) return;
-        Heartbeat(round);
-      });
+      At(at, [this, round]() { Heartbeat(round); });
     }
   } else if (have_slice_) {
     // Resumed with a durable slice: recompute the partial (cheaper to
     // recompute than to persist) and, as leader, (re-)emit — the combiner
     // dedups if the pre-crash emission landed.
-    net()->ScheduleAfter(dev()->id(), dev()->ComputeCost(slice_.num_rows()),
-                         [this]() {
-                           if (defunct()) return;
-                           ComputeAndEmitGs();
-                         });
+    After(dev()->ComputeCost(slice_.num_rows()),
+          [this]() { ComputeAndEmitGs(); });
   }
 }
 
@@ -112,11 +103,6 @@ Status ComputerActor::RestoreState(const Bytes& state) {
   knowledge_ = std::move(knowledge);
   rounds_with_peer_input_ = static_cast<int>(*rounds);
   return Status::OK();
-}
-
-void ComputerActor::MaybeCheckpoint(bool critical) {
-  if (!config_.checkpoint) return;
-  config_.checkpoint(slice_epoch_, SerializeState(), critical);
 }
 
 void ComputerActor::HandleMessage(const net::Message& msg) {
@@ -165,11 +151,8 @@ void ComputerActor::OnSlice(const net::Message& msg) {
   // crash during the (possibly long) compute does not lose it.
   MaybeCheckpoint(/*critical=*/true);
   if (config_.mode == Mode::kGroupingSets) {
-    net()->ScheduleAfter(dev()->id(), dev()->ComputeCost(slice_.num_rows()),
-                         [this]() {
-                           if (defunct()) return;
-                           ComputeAndEmitGs();
-                         });
+    After(dev()->ComputeCost(slice_.num_rows()),
+          [this]() { ComputeAndEmitGs(); });
   } else {
     auto points = ml::ExtractPoints(slice_, config_.km_spec.features);
     if (!points.ok()) {
@@ -197,15 +180,11 @@ void ComputerActor::ComputeAndEmitGs() {
 
 void ComputerActor::EmitGsWithResends() {
   EmitGs();
-  for (int i = 1; i <= config_.emission_resends; ++i) {
-    net()->ScheduleAfter(dev()->id(), ResendBackoffDelay(i, config_.resend_interval),
-        [this]() {
-          if (defunct()) return;
-          // Suppressed after a leadership yield: the replica that took
-          // over re-emits its own partial.
-          if (replica_->is_leader()) EmitGs();
-        });
-  }
+  ScheduleResends(config_.emission_resends, config_.resend_interval, [this]() {
+    // Suppressed after a leadership yield: the replica that took over
+    // re-emits its own partial.
+    if (replica_->is_leader()) EmitGs();
+  });
 }
 
 void ComputerActor::EmitGs() {
@@ -242,11 +221,7 @@ void ComputerActor::Heartbeat(int round) {
   if (round == config_.num_heartbeats - 1) {
     // Right before the deadline: report knowledge to the combiner.
     if (!points_.empty() && km_initialized_ && replica_->is_leader()) {
-      net()->ScheduleAfter(dev()->id(), dev()->ComputeCost(points_.size()),
-                           [this]() {
-                             if (defunct()) return;
-                             EmitKmFinal();
-                           });
+      After(dev()->ComputeCost(points_.size()), [this]() { EmitKmFinal(); });
     }
   }
 }
@@ -365,17 +340,14 @@ void ComputerActor::EmitKmFinal() {
   msg.partition = config_.partition;
   msg.knowledge = knowledge_;
   msg.stats = std::move(stats);
-  SealAndSendAll(config_.combiners, kKmFinal, msg.Encode());
-  for (int i = 1; i <= config_.emission_resends; ++i) {
-    Bytes payload = msg.Encode();
-    net()->ScheduleAfter(dev()->id(), ResendBackoffDelay(i, config_.resend_interval),
-        [this, payload]() {
-          if (defunct()) return;
-          if (replica_->is_leader()) {
-            SealAndSendAll(config_.combiners, kKmFinal, payload);
-          }
-        });
-  }
+  const Bytes payload = msg.Encode();
+  SealAndSendAll(config_.combiners, kKmFinal, payload);
+  ScheduleResends(config_.emission_resends, config_.resend_interval,
+                  [this, payload]() {
+                    if (replica_->is_leader()) {
+                      SealAndSendAll(config_.combiners, kKmFinal, payload);
+                    }
+                  });
   output_sent_ = true;
   MaybeCheckpoint(/*critical=*/true);
   if (config_.trace != nullptr) {

@@ -24,7 +24,7 @@ namespace edgelet::exec {
 // knowledge. Rounds advance on the clock even when nothing was received.
 // Right before the deadline (the last heartbeat) it reports knowledge plus
 // per-cluster aggregates to the combiner(s).
-class ComputerActor : public ActorBase {
+class ComputerActor : public OperatorActor {
  public:
   enum class Mode { kGroupingSets, kKMeans };
 
@@ -66,18 +66,18 @@ class ComputerActor : public ActorBase {
 
   ComputerActor(net::Transport* net, device::Device* dev, Config config);
 
-  void Start();
+  void Start() override;
 
   bool has_slice() const { return have_slice_; }
   bool output_sent() const { return output_sent_; }
   int rounds_with_peer_input() const { return rounds_with_peer_input_; }
   uint32_t slice_epoch() const { return slice_epoch_; }
 
-  // Serialized volatile state (what a checkpoint persists). The K-Means
-  // inbox and round-dedup map are deliberately volatile: peer knowledge
-  // lost in a crash is re-integrated from later rounds' broadcasts, the
-  // same degradation as a lossy link.
-  Bytes SerializeState() const;
+  // The K-Means inbox and round-dedup map are deliberately volatile: peer
+  // knowledge lost in a crash is re-integrated from later rounds'
+  // broadcasts, the same degradation as a lossy link.
+  Bytes SerializeState() const override;
+  uint32_t checkpoint_epoch() const override { return slice_epoch_; }
 
  protected:
   void HandleMessage(const net::Message& msg) override;
@@ -87,7 +87,6 @@ class ComputerActor : public ActorBase {
   void ComputeAndEmitGs();
   void EmitGs();
   void EmitGsWithResends();
-  void MaybeCheckpoint(bool critical);
   Status RestoreState(const Bytes& state);
   void Heartbeat(int round);
   void SyncPhase();
@@ -97,7 +96,6 @@ class ComputerActor : public ActorBase {
 
   Config config_;
   std::unique_ptr<ReplicaRole> replica_;
-  std::unique_ptr<LivenessBeacon> beacon_;
 
   // Slice state.
   bool have_slice_ = false;

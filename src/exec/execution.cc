@@ -79,39 +79,34 @@ QueryExecution::~QueryExecution() = default;
 
 Status QueryExecution::Start() {
   if (started_) return Status::FailedPrecondition("already started");
+  if (deployment_.query.query_id == 0) {
+    return Status::InvalidArgument("query_id must be nonzero");
+  }
   started_ = true;
   base_ = net_->now();
   if (config_.enable_trace) trace_ = std::make_unique<ExecutionTrace>(net_->engine());
-  stats_before_ = network_->stats();
-  if (deployment_.query.query_id != 0) {
-    // Taken before any actor exists: replica leaders emit their first ping
-    // during construction, and those sends must land inside the delta.
-    query_stats_before_ = network_->query_stats(deployment_.query.query_id);
-  }
-  repair_active_ = config_.repair.enabled &&
-                   deployment_.strategy == Strategy::kOvercollection &&
-                   deployment_.query.kind == query::QueryKind::kGroupingSets &&
-                   !deployment_.spare_pool.empty() &&
-                   !deployment_.combiner_group.empty();
-  recovery_active_ = config_.recovery.enabled;
+  // Taken before any actor exists: replica leaders emit their first ping
+  // during construction, and those sends must land inside the delta.
+  query_stats_before_ = network_->query_stats(deployment_.query.query_id);
+  roles_ = std::make_unique<RoleTable>(fleet_, deployment_, config_, base_,
+                                       trace_.get());
   // Every contributor schedules a contribution plus churn/resend events;
   // pre-size the event queue so the collection burst doesn't regrow it.
   net_->engine()->ReserveEvents(fleet_->contributors().size() * 2 + 256);
 
   EDGELET_RETURN_NOT_OK(BuildContributors());
-  EDGELET_RETURN_NOT_OK(BuildSnapshotBuilders());
-  EDGELET_RETURN_NOT_OK(BuildComputers());
-  EDGELET_RETURN_NOT_OK(BuildCombiners());
-  if (repair_active_) EDGELET_RETURN_NOT_OK(BuildSpares());
+  EDGELET_RETURN_NOT_OK(BuildOperators());
+  if (roles_->repair_active()) EDGELET_RETURN_NOT_OK(BuildSpares());
 
   device::Device* qdev = fleet_->by_node(deployment_.querier);
   if (qdev == nullptr) return Status::NotFound("querier device missing");
   querier_ = std::make_unique<QuerierActor>(
       net_, qdev, deployment_.query.query_id, trace_.get());
 
-  for (const auto& c : combiners_) {
-    if (c->repair_controller() != nullptr) {
-      controller_ = c->repair_controller();
+  for (const OperatorSlot& slot : slots_) {
+    const CombinerActor* combiner = slot.incarnations.front().combiner.get();
+    if (combiner != nullptr && combiner->repair_controller() != nullptr) {
+      controller_ = combiner->repair_controller();
       break;
     }
   }
@@ -125,17 +120,10 @@ Status QueryExecution::Start() {
 
 void QueryExecution::SnapshotExposure() {
   exposure_before_.clear();
-  for (const auto& partition : builders_) {
-    for (const auto& group : partition) {
-      for (const auto& b : group) {
-        exposure_before_.push_back(
-            b->dev()->enclave().cleartext_tuples_observed());
-      }
-    }
-  }
-  for (const auto& c : computers_) {
+  for (const OperatorSlot& slot : slots_) {
+    if (slot.spec.kind == OperatorKind::kCombiner) continue;
     exposure_before_.push_back(
-        c->dev()->enclave().cleartext_tuples_observed());
+        slot.dev->enclave().cleartext_tuples_observed());
   }
   for (const auto& spare : spares_) {
     exposure_before_.push_back(
@@ -143,46 +131,46 @@ void QueryExecution::SnapshotExposure() {
   }
 }
 
-QueryExecution::RecoverySlot* QueryExecution::MakeRecoverySlot(
-    device::Device* dev, OperatorKind kind, uint32_t partition,
-    uint32_t vgroup) {
-  if (!recovery_active_) return nullptr;
+std::unique_ptr<RecoveryHost> QueryExecution::MakeRecoveryHost(size_t index) {
+  if (!config_.recovery.enabled) return nullptr;
+  const OperatorSlot& slot = slots_[index];
   // One sealed store (and one restart hook + recovery protocol) per device
   // per query: a device hosting several replicas recovers only the first
   // role built on it. Planners place operators on distinct devices, so in
-  // practice this is one slot per operator.
-  for (const auto& slot : recovery_slots_) {
-    if (slot->device == dev->id()) return nullptr;
+  // practice this is one host per operator.
+  for (size_t i = 0; i < index; ++i) {
+    if (slots_[i].host != nullptr && slots_[i].dev == slot.dev) return nullptr;
   }
-  auto slot = std::make_unique<RecoverySlot>();
-  slot->partition = partition;
-  slot->vgroup = vgroup;
-  slot->kind = kind;
-  slot->device = dev->id();
   RecoveryHost::Config hc;
   hc.query_id = deployment_.query.query_id;
-  hc.kind = kind;
-  hc.partition = partition;
-  hc.vgroup = vgroup;
+  hc.kind = slot.spec.kind;
+  hc.partition = slot.spec.partition;
+  hc.vgroup = slot.spec.vgroup;
   // With the repair controller active, chain operators ask it before
   // resuming (epoch fencing decides the race against an in-flight repair).
   // The combiner hosts the controller itself, so it always resumes
   // unilaterally — as does everyone when repair is off.
-  hc.coordinator = (repair_active_ && kind != OperatorKind::kCombiner)
-                       ? deployment_.combiner_group[0]
-                       : 0;
+  hc.coordinator =
+      (roles_->repair_active() && slot.spec.kind != OperatorKind::kCombiner)
+          ? deployment_.combiner_group[0]
+          : 0;
   hc.checkpoint_interval = config_.recovery.checkpoint_interval;
   hc.grace_window = config_.recovery.grace_window;
   hc.hello_resends = config_.recovery.hello_resends;
   hc.resend_interval = config_.recovery.resend_interval;
   hc.stop_at = base_ + config_.deadline;
+  // A resume rebuilds the operator from its replayed state under the new
+  // boot epoch, checkpointing into the same store. A resumed combiner
+  // keeps its partials but its repair controller restarts cold — see
+  // CombinerActor::Config::resume_state.
+  hc.resume = [this, index](const Bytes& state) {
+    StartIncarnation(index, state);
+  };
   hc.trace = trace_.get();
   auto medium = std::make_unique<store::MemoryMedium>(
-      config_.recovery.store_faults, dev->id());
-  slot->host = std::make_unique<RecoveryHost>(net_, dev, std::move(hc),
-                                              std::move(medium));
-  recovery_slots_.push_back(std::move(slot));
-  return recovery_slots_.back().get();
+      config_.recovery.store_faults, slot.dev->id());
+  return std::make_unique<RecoveryHost>(net_, slot.dev, std::move(hc),
+                                        std::move(medium));
 }
 
 Status QueryExecution::BuildContributors() {
@@ -251,301 +239,80 @@ Status QueryExecution::BuildContributors() {
   return Status::OK();
 }
 
-Status QueryExecution::BuildSnapshotBuilders() {
+Status QueryExecution::BuildOperators() {
   const int total = deployment_.n + deployment_.m;
   if (static_cast<int>(deployment_.sb_groups.size()) != total) {
     return Status::InvalidArgument("sb_groups size != n+m");
   }
   const size_t vgroups = deployment_.vgroup_columns.size();
-  builders_.resize(total);
-  for (int p = 0; p < total; ++p) {
-    if (deployment_.sb_groups[p].size() != vgroups) {
+  for (const auto& partition : deployment_.sb_groups) {
+    if (partition.size() != vgroups) {
       return Status::InvalidArgument("sb_groups vgroup arity mismatch");
     }
-    builders_[p].resize(vgroups);
-    for (size_t vg = 0; vg < vgroups; ++vg) {
-      for (net::NodeId node : deployment_.sb_groups[p][vg]) {
-        device::Device* dev = fleet_->by_node(node);
-        if (dev == nullptr) {
-          return Status::NotFound("builder device missing");
+  }
+  // Chain operators renew their liveness lease at the repair controller,
+  // hosted by the primary combiner.
+  const net::NodeId controller =
+      roles_->repair_active() ? deployment_.combiner_group[0] : 0;
+  auto add_chains = [&](OperatorKind kind, const auto& groups) -> Status {
+    for (uint32_t p = 0; p < static_cast<uint32_t>(total); ++p) {
+      for (uint32_t vg = 0; vg < groups[p].size(); ++vg) {
+        for (net::NodeId node : groups[p][vg]) {
+          EDGELET_RETURN_NOT_OK(AddOperator({.kind = kind,
+                                             .partition = p,
+                                             .vgroup = vg,
+                                             .node = node,
+                                             .members = groups[p][vg],
+                                             .liveness_target = controller}));
         }
-        SnapshotBuilderActor::Config cfg;
-        cfg.query_id = deployment_.query.query_id;
-        cfg.partition = static_cast<uint32_t>(p);
-        cfg.vgroup = static_cast<uint32_t>(vg);
-        cfg.quota = deployment_.quota;
-        cfg.computers = deployment_.computer_groups[p][vg];
-        cfg.columns = deployment_.vgroup_columns[vg];
-        cfg.replica.group_id = HashCombine(
-            deployment_.query.query_id, 0x5B000000ULL + p * 131 + vg);
-        cfg.replica.members = deployment_.sb_groups[p][vg];
-        cfg.replica.query_tag = deployment_.query.query_id;
-        cfg.replica.ping_period = config_.ping_period;
-        cfg.replica.failover_timeout = config_.failover_timeout;
-        cfg.replica.stop_at = base_ + config_.deadline;
-        cfg.trace = trace_.get();
-        cfg.emission_resends = config_.emission_resends;
-        cfg.resend_interval = config_.resend_interval;
-        if (repair_active_) {
-          cfg.liveness = MakeLiveness(RecruitRole::kSnapshotBuilder,
-                                      static_cast<uint32_t>(p),
-                                      static_cast<uint32_t>(vg));
-        }
-        RecoverySlot* slot = MakeRecoverySlot(dev,
-                                              OperatorKind::kSnapshotBuilder,
-                                              static_cast<uint32_t>(p),
-                                              static_cast<uint32_t>(vg));
-        if (slot != nullptr) {
-          cfg.checkpoint = slot->host->MakeCheckpointFn();
-          // The resume factory rebuilds the builder from its restored state
-          // under the new boot epoch; the config copy keeps the checkpoint
-          // sink, so the resumed actor keeps checkpointing into the same
-          // store.
-          SnapshotBuilderActor::Config base_cfg = cfg;
-          slot->host->set_resume(
-              [this, slot, base_cfg, dev](const Bytes& state) {
-                SnapshotBuilderActor::Config rcfg = base_cfg;
-                rcfg.resume_state = state;
-                slot->builder = std::make_unique<SnapshotBuilderActor>(
-                    net_, dev, std::move(rcfg));
-                slot->builder->Start();
-              });
-        }
-        auto actor = std::make_unique<SnapshotBuilderActor>(net_, dev,
-                                                            std::move(cfg));
-        actor->Start();
-        builders_[p][vg].push_back(std::move(actor));
       }
     }
-  }
-  return Status::OK();
-}
-
-Status QueryExecution::BuildComputers() {
-  const int total = deployment_.n + deployment_.m;
-  const auto& query = deployment_.query;
-  const bool kmeans = query.kind == query::QueryKind::kKMeans;
-  const SimTime first_heartbeat =
-      base_ + config_.collection_window + 10 * kSecond;
-
-  for (int p = 0; p < total; ++p) {
-    const auto& vgroups = deployment_.computer_groups[p];
-    for (size_t vg = 0; vg < vgroups.size(); ++vg) {
-      for (net::NodeId node : vgroups[vg]) {
-        device::Device* dev = fleet_->by_node(node);
-        if (dev == nullptr) {
-          return Status::NotFound("computer device missing");
-        }
-        ComputerActor::Config cfg;
-        cfg.query_id = query.query_id;
-        cfg.partition = static_cast<uint32_t>(p);
-        cfg.vgroup = static_cast<uint32_t>(vg);
-        cfg.mode = kmeans ? ComputerActor::Mode::kKMeans
-                          : ComputerActor::Mode::kGroupingSets;
-        cfg.gs_spec = query.grouping_sets;
-        cfg.set_indices = deployment_.vgroup_set_indices[vg];
-        cfg.km_spec = query.kmeans;
-        if (kmeans) {
-          for (int q = 0; q < total; ++q) {
-            if (q == p) continue;
-            cfg.peers.push_back(deployment_.computer_groups[q][0]);
-          }
-          cfg.first_heartbeat = first_heartbeat;
-          cfg.heartbeat_period = config_.heartbeat_period;
-          cfg.num_heartbeats = config_.num_heartbeats;
-        }
-        cfg.combiners = deployment_.combiner_group;
-        cfg.replica.group_id = HashCombine(
-            query.query_id, 0xC0000000ULL + p * 131 + vg);
-        cfg.replica.members = vgroups[vg];
-        cfg.replica.query_tag = deployment_.query.query_id;
-        cfg.replica.ping_period = config_.ping_period;
-        cfg.replica.failover_timeout = config_.failover_timeout;
-        cfg.replica.stop_at = base_ + config_.deadline;
-        cfg.trace = trace_.get();
-        cfg.emission_resends = config_.emission_resends;
-        cfg.resend_interval = config_.resend_interval;
-        if (repair_active_) {
-          cfg.liveness = MakeLiveness(RecruitRole::kComputer,
-                                      static_cast<uint32_t>(p),
-                                      static_cast<uint32_t>(vg));
-        }
-        RecoverySlot* slot = MakeRecoverySlot(dev, OperatorKind::kComputer,
-                                              static_cast<uint32_t>(p),
-                                              static_cast<uint32_t>(vg));
-        if (slot != nullptr) {
-          cfg.checkpoint = slot->host->MakeCheckpointFn();
-          ComputerActor::Config base_cfg = cfg;
-          slot->host->set_resume(
-              [this, slot, base_cfg, dev](const Bytes& state) {
-                ComputerActor::Config rcfg = base_cfg;
-                rcfg.resume_state = state;
-                slot->computer = std::make_unique<ComputerActor>(
-                    net_, dev, std::move(rcfg));
-                slot->computer->Start();
-              });
-        }
-        auto actor = std::make_unique<ComputerActor>(net_, dev,
-                                                     std::move(cfg));
-        actor->Start();
-        computers_.push_back(std::move(actor));
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status QueryExecution::BuildCombiners() {
-  const auto& query = deployment_.query;
-  const bool kmeans = query.kind == query::QueryKind::kKMeans;
-  const SimTime emit_at =
-      base_ + (config_.deadline > config_.combiner_margin
-                   ? config_.deadline - config_.combiner_margin
-                   : 0);
+    return Status::OK();
+  };
+  EDGELET_RETURN_NOT_OK(
+      add_chains(OperatorKind::kSnapshotBuilder, deployment_.sb_groups));
+  EDGELET_RETURN_NOT_OK(
+      add_chains(OperatorKind::kComputer, deployment_.computer_groups));
+  // Overcollection runs independent active combiner instances (singleton
+  // groups); Backup runs one leader/standby group.
   const bool active = deployment_.strategy == Strategy::kOvercollection;
-
   for (net::NodeId node : deployment_.combiner_group) {
-    device::Device* dev = fleet_->by_node(node);
-    if (dev == nullptr) return Status::NotFound("combiner device missing");
-    CombinerActor::Config cfg;
-    cfg.query_id = query.query_id;
-    cfg.mode = kmeans ? CombinerActor::Mode::kKMeans
-                      : CombinerActor::Mode::kGroupingSets;
-    cfg.n_needed = deployment_.n;
-    cfg.total_partitions = deployment_.n + deployment_.m;
-    cfg.num_vgroups =
-        static_cast<uint32_t>(deployment_.vgroup_columns.size());
-    cfg.gs_spec = query.grouping_sets;
-    cfg.km_spec = query.kmeans;
-    cfg.querier_targets = {deployment_.querier};
-    cfg.emit_at = emit_at;
-    cfg.result_resends = config_.result_resends;
-    cfg.resend_interval = config_.resend_interval;
-    cfg.active_emit = active;
-    cfg.replica.group_id = HashCombine(query.query_id, 0xCB00000000ULL);
-    cfg.replica.members =
-        active ? std::vector<net::NodeId>{node} : deployment_.combiner_group;
-    cfg.replica.query_tag = query.query_id;
-    cfg.replica.ping_period = config_.ping_period;
-    cfg.replica.failover_timeout = config_.failover_timeout;
-    cfg.replica.stop_at = base_ + config_.deadline;
-    cfg.trace = trace_.get();
-    // Exactly one controller: the primary combiner instance. (Active
-    // Backup combiners merge independently; a second controller would
-    // recruit the same spares twice.)
-    if (repair_active_ && node == deployment_.combiner_group[0]) {
-      RepairController::Config rc;
-      rc.enabled = true;
-      rc.query_id = query.query_id;
-      rc.n_needed = deployment_.n;
-      rc.total_partitions =
-          static_cast<uint32_t>(deployment_.n + deployment_.m);
-      rc.num_vgroups =
-          static_cast<uint32_t>(deployment_.vgroup_columns.size());
-      rc.detector.lease_period = config_.repair.lease_period;
-      rc.detector.miss_threshold = config_.repair.miss_threshold;
-      rc.detector.suspicion_backoff = config_.repair.suspicion_backoff;
-      rc.detector.max_backoff_steps = config_.repair.max_backoff_steps;
-      rc.detector.jitter_fraction = config_.repair.detector_jitter_fraction;
-      rc.detector.seed = Mix64(config_.seed) ^ 0xDE7EC7;
-      rc.start_at = base_;
-      rc.collection_end = base_ + config_.collection_window;
-      rc.deadline = base_ + config_.deadline;
-      rc.combiner_margin = config_.combiner_margin;
-      rc.compute_margin = config_.repair.compute_margin;
-      rc.emission_margin = config_.repair.emission_margin;
-      rc.recruit_resends = config_.repair.recruit_resends;
-      rc.resend_interval = config_.resend_interval;
-      rc.spare_pool = deployment_.spare_pool;
-      for (const auto& c : contributors_) {
-        rc.contributors.push_back(c->dev()->id());
-      }
-      // Cohort fleets: the controller re-solicits cohort devices; the
-      // actor fans the request out to its members in the hit partition.
-      for (const auto& c : cohorts_) {
-        rc.contributors.push_back(c->dev()->id());
-      }
-      rc.trace = trace_.get();
-      if (recovery_active_) {
-        // Recovery changes two things at the controller: the detector must
-        // distinguish *suspected* from *confirmed lost* (grace sized to the
-        // crash-reboot turnaround), and RecoveryHellos are authenticated
-        // against the plan's incumbent device per (partition, vgroup).
-        rc.detector.confirm_grace = config_.recovery.grace_window;
-        const size_t vgroups = deployment_.vgroup_columns.size();
-        rc.original_builders.assign(rc.total_partitions,
-                                    std::vector<net::NodeId>(vgroups, 0));
-        rc.original_computers.assign(rc.total_partitions,
-                                     std::vector<net::NodeId>(vgroups, 0));
-        for (uint32_t p = 0; p < rc.total_partitions; ++p) {
-          for (size_t vg = 0; vg < vgroups; ++vg) {
-            if (!deployment_.sb_groups[p][vg].empty()) {
-              rc.original_builders[p][vg] = deployment_.sb_groups[p][vg][0];
-            }
-            if (!deployment_.computer_groups[p][vg].empty()) {
-              rc.original_computers[p][vg] =
-                  deployment_.computer_groups[p][vg][0];
-            }
-          }
-        }
-      }
-      cfg.repair = std::move(rc);
-    }
-    RecoverySlot* slot =
-        MakeRecoverySlot(dev, OperatorKind::kCombiner, 0, 0);
-    if (slot != nullptr) {
-      cfg.checkpoint = slot->host->MakeCheckpointFn();
-      // A resumed combiner keeps its partials but its repair controller
-      // restarts cold (chains re-register at generation 0) — see
-      // CombinerActor::Config::resume_state.
-      CombinerActor::Config base_cfg = cfg;
-      slot->host->set_resume(
-          [this, slot, base_cfg, dev](const Bytes& state) {
-            CombinerActor::Config rcfg = base_cfg;
-            rcfg.resume_state = state;
-            slot->combiner = std::make_unique<CombinerActor>(
-                net_, dev, std::move(rcfg));
-            slot->combiner->Start();
-          });
-    }
-    auto actor = std::make_unique<CombinerActor>(net_, dev, std::move(cfg));
-    actor->Start();
-    combiners_.push_back(std::move(actor));
+    EDGELET_RETURN_NOT_OK(AddOperator(
+        {.kind = OperatorKind::kCombiner,
+         .node = node,
+         .members = active ? std::vector<net::NodeId>{node}
+                           : deployment_.combiner_group}));
   }
   return Status::OK();
 }
 
-LivenessBeacon::Config QueryExecution::MakeLiveness(RecruitRole role,
-                                                    uint32_t partition,
-                                                    uint32_t vgroup) const {
-  LivenessBeacon::Config liveness;
-  liveness.enabled = true;
-  liveness.target = deployment_.combiner_group[0];
-  liveness.query_id = deployment_.query.query_id;
-  liveness.op_id = RepairOpId(role, partition, vgroup, /*generation=*/0);
-  liveness.period = config_.repair.lease_period;
-  liveness.stop_at = base_ + config_.deadline;
-  return liveness;
+Status QueryExecution::AddOperator(OperatorSpec spec) {
+  device::Device* dev = fleet_->by_node(spec.node);
+  if (dev == nullptr) {
+    return Status::NotFound("operator device " + std::to_string(spec.node) +
+                            " missing");
+  }
+  const size_t index = slots_.size();
+  slots_.push_back(OperatorSlot{std::move(spec), dev, {}, nullptr});
+  slots_[index].host = MakeRecoveryHost(index);
+  StartIncarnation(index, {});
+  return Status::OK();
+}
+
+void QueryExecution::StartIncarnation(size_t index, const Bytes& state) {
+  OperatorSlot& slot = slots_[index];
+  CheckpointFn checkpoint;
+  if (slot.host != nullptr) checkpoint = slot.host->MakeCheckpointFn();
+  slot.incarnations.push_back(
+      roles_->Build(net_, slot.dev, slot.spec, std::move(checkpoint), state));
+  slot.incarnations.back().Start();
 }
 
 Status QueryExecution::BuildSpares() {
   for (net::NodeId node : deployment_.spare_pool) {
     device::Device* dev = fleet_->by_node(node);
     if (dev == nullptr) return Status::NotFound("spare device missing");
-    SpareActor::Config cfg;
-    cfg.query_id = deployment_.query.query_id;
-    cfg.quota = deployment_.quota;
-    cfg.gs_spec = deployment_.query.grouping_sets;
-    cfg.vgroup_columns = deployment_.vgroup_columns;
-    cfg.vgroup_set_indices = deployment_.vgroup_set_indices;
-    cfg.combiners = deployment_.combiner_group;
-    cfg.stop_at = base_ + config_.deadline;
-    cfg.liveness_period = config_.repair.lease_period;
-    cfg.emission_resends = config_.emission_resends;
-    cfg.resend_interval = config_.resend_interval;
-    cfg.trace = trace_.get();
-    spares_.push_back(
-        std::make_unique<SpareActor>(net_, dev, std::move(cfg)));
+    spares_.push_back(std::make_unique<SpareActor>(net_, dev, roles_.get()));
   }
   return Status::OK();
 }
@@ -574,7 +341,7 @@ void QueryExecution::InjectFailures() {
   // Spares are processors too (a recruited spare can crash like any other
   // operator); appended after the legacy targets so repair-off executions
   // draw the exact same kill plan as before the repair subsystem existed.
-  if (repair_active_) {
+  if (roles_->repair_active()) {
     for (net::NodeId id : deployment_.spare_pool) add(id);
   }
 
@@ -681,137 +448,101 @@ void QueryExecution::CollectReport() {
     report_.contributors_participating += c->members_contributed();
   }
 
-  if (deployment_.query.query_id != 0) {
-    // Attribution by query tag: correct even when executions overlap on
-    // one network. The delta against the Start() snapshot keeps repeated
-    // runs of the same query id on one framework independent.
-    const net::QueryNetStats now =
-        network_->query_stats(deployment_.query.query_id);
-    report_.messages_sent =
-        now.messages_sent - query_stats_before_.messages_sent;
-    report_.messages_delivered =
-        now.messages_delivered - query_stats_before_.messages_delivered;
-    report_.bytes_sent = now.bytes_sent - query_stats_before_.bytes_sent;
-  } else {
-    // Untagged execution: the legacy whole-network delta (misattributes
-    // under overlap; only the compat path for query_id == 0 uses it).
-    const net::NetworkStats now = network_->stats();
-    report_.messages_sent = now.messages_sent - stats_before_.messages_sent;
-    report_.messages_delivered =
-        now.messages_delivered - stats_before_.messages_delivered;
-    report_.bytes_sent = now.bytes_sent - stats_before_.bytes_sent;
+  // Attribution by query tag: correct even when executions overlap on one
+  // network. The delta against the Start() snapshot keeps repeated runs of
+  // the same query id on one framework independent.
+  const net::QueryNetStats now =
+      network_->query_stats(deployment_.query.query_id);
+  report_.messages_sent = now.messages_sent - query_stats_before_.messages_sent;
+  report_.messages_delivered =
+      now.messages_delivered - query_stats_before_.messages_delivered;
+  report_.bytes_sent = now.bytes_sent - query_stats_before_.bytes_sent;
+
+  // One walk over the slots: per-execution exposure (enclave counters are
+  // device-lifetime cumulative, so subtract the Start() snapshot taken in
+  // the same order), recovery and store counters, every incarnation's
+  // repair-controller counters (a resumed combiner's fresh controller
+  // covers the stretch its defunct predecessors never saw), and the newest
+  // builder of every chain, in rank order.
+  const size_t vgroups = deployment_.vgroup_columns.size();
+  const size_t total = deployment_.sb_groups.size();
+  std::vector<std::vector<const SnapshotBuilderActor*>> chain_builders(
+      total * vgroups);
+  size_t xi = 0;
+  auto note_exposure = [this, &xi](tee::Enclave& enclave) {
+    const uint64_t observed = enclave.cleartext_tuples_observed();
+    const uint64_t before =
+        xi < exposure_before_.size() ? exposure_before_[xi] : 0;
+    ++xi;
+    report_.max_observed_exposure_tuples =
+        std::max(report_.max_observed_exposure_tuples,
+                 observed >= before ? observed - before : observed);
+  };
+  for (const OperatorSlot& slot : slots_) {
+    if (slot.spec.kind != OperatorKind::kCombiner) {
+      note_exposure(slot.dev->enclave());
+    }
+    if (const SnapshotBuilderActor* b = slot.incarnations.back().builder.get()) {
+      chain_builders[slot.spec.partition * vgroups + slot.spec.vgroup]
+          .push_back(b);
+    }
+    for (const Operator& incarnation : slot.incarnations) {
+      const RepairController* rc =
+          incarnation.combiner != nullptr
+              ? incarnation.combiner->repair_controller()
+              : nullptr;
+      if (rc == nullptr) continue;
+      report_.failures_detected += rc->detections();
+      report_.repairs_attempted += rc->repairs_attempted();
+      report_.repairs_succeeded += rc->repairs_succeeded();
+      report_.repairs_cancelled_by_return += rc->repairs_cancelled_by_return();
+    }
+    if (slot.host != nullptr) {
+      report_.recoveries_resumed += slot.host->recoveries_resumed();
+      report_.checkpoints_written += slot.host->store().stats().checkpoints;
+      report_.store_integrity_failures += slot.host->integrity_failures();
+    }
+  }
+  for (const auto& spare : spares_) note_exposure(spare->dev()->enclave());
+  if (controller_ != nullptr && controller_->abort_requested()) {
+    report_.early_abort_time = controller_->abort_time() - base_;
   }
 
   // Reconstruct the exact crowd sample behind a Grouping Sets result from
   // the (partition, vgroup, epoch) triples the combiner merged.
   if (deployment_.query.kind == query::QueryKind::kGroupingSets) {
-    const size_t vgroups = deployment_.vgroup_columns.size();
     report_.snapshot_contributors_by_vgroup.assign(vgroups, {});
     for (size_t i = 0; i < report_.partitions_used.size(); ++i) {
       uint32_t p = report_.partitions_used[i];
-      if (p >= builders_.size()) continue;
+      if (p >= total) continue;
       for (size_t vg = 0; vg < vgroups; ++vg) {
         size_t flat = i * vgroups + vg;
         uint32_t epoch =
             flat < report_.epochs_used.size() ? report_.epochs_used[flat] : 0;
+        auto& out = report_.snapshot_contributors_by_vgroup[vg];
         // Originals emit under their replica rank; recruited builders emit
         // under their unique repair-generation epoch (>= kRepairEpochBase),
         // so a recruit's sample can never be attributed to a dead
-        // original's rank.
-        for (const auto& builder : builders_[p][vg]) {
-          if (builder->emit_epoch() == epoch) {
-            // A resumed incumbent supersedes its pre-crash instance (same
-            // device, same emission epoch): the restored actor's sample is
-            // the one whose slice the chain consumed — identical to the
-            // original's when the crash came after emission, and the only
-            // emitted one when it came before.
-            const SnapshotBuilderActor* sampled = builder.get();
-            for (const auto& slot : recovery_slots_) {
-              if (slot->builder != nullptr &&
-                  slot->device == builder->dev()->id() &&
-                  slot->partition == p &&
-                  slot->vgroup == static_cast<uint32_t>(vg)) {
-                sampled = slot->builder.get();
-              }
-            }
-            const auto& keys = sampled->included_contributors();
-            auto& out = report_.snapshot_contributors_by_vgroup[vg];
+        // original's rank. A resumed incumbent's newest incarnation holds
+        // the sample the chain consumed: identical to the original's when
+        // the crash came after emission, the only emitted one otherwise.
+        for (const SnapshotBuilderActor* builder :
+             chain_builders[p * vgroups + vg]) {
+          if (builder->emit_epoch() != epoch) continue;
+          const auto& keys = builder->included_contributors();
+          out.insert(out.end(), keys.begin(), keys.end());
+        }
+        if (epoch < kRepairEpochBase) continue;
+        for (const auto& spare : spares_) {
+          if (spare->recruited() && spare->builder() != nullptr &&
+              spare->partition() == p &&
+              spare->vgroup() == static_cast<uint32_t>(vg) &&
+              spare->epoch() == epoch) {
+            const auto& keys = spare->builder()->included_contributors();
             out.insert(out.end(), keys.begin(), keys.end());
           }
         }
-        if (epoch >= kRepairEpochBase) {
-          for (const auto& spare : spares_) {
-            if (spare->recruited() && spare->builder() != nullptr &&
-                spare->partition() == p &&
-                spare->vgroup() == static_cast<uint32_t>(vg) &&
-                spare->epoch() == epoch) {
-              const auto& keys = spare->builder()->included_contributors();
-              auto& out = report_.snapshot_contributors_by_vgroup[vg];
-              out.insert(out.end(), keys.begin(), keys.end());
-            }
-          }
-        }
       }
-    }
-  }
-
-  // Per-execution exposure: enclave counters are device-lifetime
-  // cumulative, so subtract the Start() snapshot (same traversal order as
-  // SnapshotExposure). Fresh frameworks have all-zero baselines, so this
-  // is bit-identical to the historical absolute read there.
-  size_t xi = 0;
-  auto exposure_delta = [this, &xi](const tee::Enclave& enclave) {
-    const uint64_t observed = enclave.cleartext_tuples_observed();
-    const uint64_t before =
-        xi < exposure_before_.size() ? exposure_before_[xi] : 0;
-    ++xi;
-    return observed >= before ? observed - before : observed;
-  };
-  for (const auto& partition : builders_) {
-    for (const auto& group : partition) {
-      for (const auto& b : group) {
-        report_.max_observed_exposure_tuples =
-            std::max(report_.max_observed_exposure_tuples,
-                     exposure_delta(b->dev()->enclave()));
-      }
-    }
-  }
-  for (const auto& c : computers_) {
-    report_.max_observed_exposure_tuples =
-        std::max(report_.max_observed_exposure_tuples,
-                 exposure_delta(c->dev()->enclave()));
-  }
-  for (const auto& spare : spares_) {
-    report_.max_observed_exposure_tuples =
-        std::max(report_.max_observed_exposure_tuples,
-                 exposure_delta(spare->dev()->enclave()));
-  }
-
-  if (controller_ != nullptr) {
-    report_.failures_detected = controller_->detections();
-    report_.repairs_attempted = controller_->repairs_attempted();
-    report_.repairs_succeeded = controller_->repairs_succeeded();
-    report_.repairs_cancelled_by_return =
-        controller_->repairs_cancelled_by_return();
-    if (controller_->abort_requested()) {
-      report_.early_abort_time = controller_->abort_time() - base_;
-    }
-  }
-
-  for (const auto& slot : recovery_slots_) {
-    report_.recoveries_resumed += slot->host->recoveries_resumed();
-    report_.checkpoints_written += slot->host->store().stats().checkpoints;
-    report_.store_integrity_failures += slot->host->integrity_failures();
-    // A resumed combiner runs a fresh controller; its counters cover the
-    // post-crash stretch the (defunct) original controller never saw.
-    if (slot->combiner != nullptr &&
-        slot->combiner->repair_controller() != nullptr) {
-      const RepairController* rc = slot->combiner->repair_controller();
-      report_.failures_detected += rc->detections();
-      report_.repairs_attempted += rc->repairs_attempted();
-      report_.repairs_succeeded += rc->repairs_succeeded();
-      report_.repairs_cancelled_by_return +=
-          rc->repairs_cancelled_by_return();
     }
   }
 }

@@ -10,6 +10,7 @@
 #include "exec/computer.h"
 #include "exec/recovery.h"
 #include "exec/repair.h"
+#include "exec/roles.h"
 #include "exec/snapshot_builder.h"
 #include "query/qep.h"
 #include "query/query.h"
@@ -169,7 +170,8 @@ class QueryExecution {
   QueryExecution(const QueryExecution&) = delete;
   QueryExecution& operator=(const QueryExecution&) = delete;
 
-  // Instantiates actors, schedules contributions and failures.
+  // Instantiates actors, schedules contributions and failures. The query
+  // id must be nonzero: it tags every message and attributes traffic.
   Status Start();
   // Runs the simulator to the deadline and assembles the report.
   // Equivalent to stepping the sim in poll_step() chunks (breaking on
@@ -204,36 +206,33 @@ class QueryExecution {
   const ExecutionTrace* trace() const { return trace_.get(); }
 
  private:
-  // One operator device's recovery machinery: the sealed-store host plus
-  // (after a resume) the rebuilt actor. Heap-allocated so resume closures
-  // can capture a stable pointer while the vector grows.
-  struct RecoverySlot {
-    uint32_t partition = 0;
-    uint32_t vgroup = 0;
-    OperatorKind kind = OperatorKind::kSnapshotBuilder;
-    net::NodeId device = 0;
+  // One planned chain operator: its spec, every incarnation built for it
+  // and, with recovery on, the sealed-store host that resumes it after a
+  // reboot. Incarnations are append-only and live until the execution is
+  // destroyed: a superseded (defunct) incarnation's timers may still fire.
+  struct OperatorSlot {
+    OperatorSpec spec;
+    device::Device* dev = nullptr;
+    std::vector<Operator> incarnations;  // [0] = deployed; back() = newest
     std::unique_ptr<RecoveryHost> host;
-    std::unique_ptr<SnapshotBuilderActor> builder;
-    std::unique_ptr<ComputerActor> computer;
-    std::unique_ptr<CombinerActor> combiner;
   };
 
   Status BuildContributors();
-  Status BuildSnapshotBuilders();
-  Status BuildComputers();
-  Status BuildCombiners();
+  // Deploys every planned builder, computer and combiner, in that order.
+  Status BuildOperators();
+  Status AddOperator(OperatorSpec spec);
+  // Builds and starts slot `index`'s next incarnation from `state` (empty =
+  // fresh start). The deployment and every resume go through here.
+  void StartIncarnation(size_t index, const Bytes& state);
   Status BuildSpares();
   void InjectFailures();
   void SnapshotExposure();
   void CollectReport();
-  // Liveness beacon wiring for one original (generation-0) chain operator.
-  LivenessBeacon::Config MakeLiveness(RecruitRole role, uint32_t partition,
-                                      uint32_t vgroup) const;
-  // Creates the recovery slot + host for one operator device, or null when
-  // recovery is off or the device already hosts one (one store per device
-  // per query). Returns the slot to wire resume closures against.
-  RecoverySlot* MakeRecoverySlot(device::Device* dev, OperatorKind kind,
-                                 uint32_t partition, uint32_t vgroup);
+  // The recovery host for slot `index` (DESIGN.md §5k), or null when
+  // recovery is off — then no store exists and no checkpoint sink is
+  // installed — or the device already hosts one (one store per device per
+  // query).
+  std::unique_ptr<RecoveryHost> MakeRecoveryHost(size_t index);
 
   net::Transport* net_;
   net::Network* network_;  // = net_->network(), cached
@@ -246,37 +245,23 @@ class QueryExecution {
   // contributor device instead; exactly one of these two vectors is
   // populated.
   std::vector<std::unique_ptr<CohortActor>> cohorts_;
-  // [partition][vgroup][rank].
-  std::vector<std::vector<std::vector<std::unique_ptr<SnapshotBuilderActor>>>>
-      builders_;
-  std::vector<std::unique_ptr<ComputerActor>> computers_;
-  std::vector<std::unique_ptr<CombinerActor>> combiners_;
+  std::unique_ptr<RoleTable> roles_;
+  // Chain operators in build order: builders by [partition][vgroup][rank],
+  // then computers likewise, then combiners.
+  std::vector<OperatorSlot> slots_;
   std::vector<std::unique_ptr<SpareActor>> spares_;
   std::unique_ptr<QuerierActor> querier_;
-  std::vector<std::unique_ptr<RecoverySlot>> recovery_slots_;
-  // True when this execution runs the repair subsystem: repair requested,
-  // Grouping Sets over Overcollection, and the plan reserved spares. When
-  // false the execution is bit-identical to the pre-repair code path.
-  bool repair_active_ = false;
-  // True when the sealed-store recovery subsystem is wired (DESIGN.md §5k).
-  // When false no store exists and no checkpoint sinks are installed — the
-  // execution is bit-identical to the pre-recovery code path.
-  bool recovery_active_ = false;
 
   std::unique_ptr<ExecutionTrace> trace_;
-  // Global-counter snapshot at Start(): the attribution fallback for
-  // untagged (query_id == 0) executions. Tagged executions report the
-  // delta of their own per-query slice instead, which stays correct when
-  // executions overlap on one network.
-  net::NetworkStats stats_before_;
   net::QueryNetStats query_stats_before_;
   // Per-processor-enclave cleartext counters at Start(), in the exact
-  // order CollectReport() walks them (builders by [p][vg][rank], then
-  // computers_, then spares_): enclave counters are cumulative across a
-  // device's lifetime, so the report attributes only this execution's
-  // delta.
+  // order CollectReport() walks them (non-combiner slots, then spares_):
+  // enclave counters are cumulative across a device's lifetime, so the
+  // report attributes only this execution's delta.
   std::vector<uint64_t> exposure_before_;
-  // The primary combiner's repair controller (nullptr when repair is off).
+  // The deployed primary combiner's repair controller (nullptr when repair
+  // is off). A resumed combiner's fresh controller does not drive
+  // abort_requested().
   const RepairController* controller_ = nullptr;
   ExecutionReport report_;
   bool started_ = false;

@@ -172,16 +172,14 @@ void RecoveryHost::SendHello() {
   (void)dev_->SendSealed(config_.coordinator, kRecoveryHello, payload,
                          config_.query_id);
   const uint64_t inc = attempt_incarnation_;
-  for (int i = 1; i <= config_.hello_resends; ++i) {
-    net_->ScheduleAfter(
-        dev_->id(), ResendBackoffDelay(i, config_.resend_interval),
-        [this, payload, inc]() {
-          if (dev_->network()->IsDead(dev_->id())) return;
-          if (attempt_incarnation_ != inc || !awaiting_ack_) return;
-          (void)dev_->SendSealed(config_.coordinator, kRecoveryHello,
-                                 payload, config_.query_id);
-        });
-  }
+  ScheduleBackoffResends(
+      net_, dev_->id(), config_.hello_resends, config_.resend_interval,
+      [this, payload, inc]() {
+        if (dev_->network()->IsDead(dev_->id())) return;
+        if (attempt_incarnation_ != inc || !awaiting_ack_) return;
+        (void)dev_->SendSealed(config_.coordinator, kRecoveryHello, payload,
+                               config_.query_id);
+      });
 }
 
 void RecoveryHost::OnMessage(const net::Message& msg) {

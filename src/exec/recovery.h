@@ -113,13 +113,6 @@ class RecoveryHost {
   // appends it to the sealed store.
   CheckpointFn MakeCheckpointFn();
 
-  // Installs the actor-rebuild factory. Set once during execution build
-  // (the factory needs the actor's config, which is assembled after the
-  // host exists); must not be called after the run starts.
-  void set_resume(std::function<void(const Bytes& state)> fn) {
-    config_.resume = std::move(fn);
-  }
-
   const store::DeviceStore& store() const { return store_; }
   uint32_t recoveries_resumed() const { return recoveries_resumed_; }
   uint64_t integrity_failures() const {

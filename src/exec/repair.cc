@@ -2,8 +2,8 @@
 
 #include <algorithm>
 
-#include "common/hash.h"
 #include "common/logging.h"
+#include "exec/roles.h"
 
 namespace edgelet::exec {
 
@@ -229,26 +229,22 @@ void RepairController::SendRecruit(RecruitRole role, net::NodeId to,
                                : std::string("computer -> ")) +
                               std::to_string(to));
   }
-  for (int i = 1; i <= config_.recruit_resends; ++i) {
-    net_->ScheduleAfter(
-        dev_->id(), ResendBackoffDelay(i, config_.resend_interval),
-        [this, role, to, partition, vgroup, epoch, payload]() {
-          if (partition >= chains_.size() ||
-              vgroup >= config_.num_vgroups) {
-            return;
-          }
-          const Chain& c = chains_[partition][vgroup];
-          if (c.epoch != epoch) return;  // chain moved to a newer recruit
-          const bool acked = role == RecruitRole::kSnapshotBuilder
-                                 ? c.builder_acked
-                                 : c.computer_acked;
-          if (!acked && !dev_->network()->IsDead(dev_->id()) &&
-              dev_->boot_epoch() == birth_epoch_) {
-            (void)dev_->SendSealed(to, kRecruit, payload,
-                                   config_.query_id);
-          }
-        });
-  }
+  ScheduleBackoffResends(
+      net_, dev_->id(), config_.recruit_resends, config_.resend_interval,
+      [this, role, to, partition, vgroup, epoch, payload]() {
+        if (partition >= chains_.size() || vgroup >= config_.num_vgroups) {
+          return;
+        }
+        const Chain& c = chains_[partition][vgroup];
+        if (c.epoch != epoch) return;  // chain moved to a newer recruit
+        const bool acked = role == RecruitRole::kSnapshotBuilder
+                               ? c.builder_acked
+                               : c.computer_acked;
+        if (!acked && !dev_->network()->IsDead(dev_->id()) &&
+            dev_->boot_epoch() == birth_epoch_) {
+          (void)dev_->SendSealed(to, kRecruit, payload, config_.query_id);
+        }
+      });
 }
 
 void RepairController::OnRecruitAck(const RecruitAckMsg& msg) {
@@ -387,10 +383,15 @@ void RepairController::FailSafe(SimTime now, int missing) {
 
 // --- SpareActor --------------------------------------------------------------
 
-SpareActor::SpareActor(net::Transport* net, device::Device* dev, Config config)
-    : ActorBase(net, dev, config.query_id), config_(std::move(config)) {}
+SpareActor::SpareActor(net::Transport* net, device::Device* dev,
+                       const RoleTable* roles)
+    : ActorBase(net, dev, roles->query_id()), roles_(roles) {}
 
 SpareActor::~SpareActor() = default;
+
+const SnapshotBuilderActor* SpareActor::builder() const {
+  return inner_ != nullptr ? inner_->builder.get() : nullptr;
+}
 
 void SpareActor::HandleMessage(const net::Message& msg) {
   if (msg.type == kRecruit) {
@@ -398,17 +399,13 @@ void SpareActor::HandleMessage(const net::Message& msg) {
     return;
   }
   // Recruited: the inner actor owns the protocol from here on.
-  if (builder_ != nullptr) {
-    builder_->Deliver(msg);
-  } else if (computer_ != nullptr) {
-    computer_->Deliver(msg);
-  }
+  if (inner_ != nullptr) inner_->actor()->Deliver(msg);
 }
 
 void SpareActor::OnRecruit(const net::Message& msg) {
   if (!OpenSealed(msg).ok()) return;
   auto req = RecruitMsg::Decode(opened_payload());
-  if (!req.ok() || req->query_id != config_.query_id) return;
+  if (!req.ok() || req->query_id != query_tag()) return;
   if (recruited_) {
     // Controller resend of our assignment: re-ack (the first ack may have
     // been lost). A conflicting assignment is dropped — one spare, one
@@ -421,78 +418,28 @@ void SpareActor::OnRecruit(const net::Message& msg) {
     }
     return;
   }
-  if (req->vgroup >= config_.vgroup_columns.size()) return;
+  // Recruits always carry a repair generation; generation 0 names a
+  // planned operator, which is never recruited.
+  if (req->vgroup >= roles_->num_vgroups() || req->epoch < kRepairEpochBase) {
+    return;
+  }
   recruited_ = true;
   assignment_ = *req;
-
-  const uint64_t op_id =
-      RepairOpId(req->role, req->partition, req->vgroup, req->epoch);
-  LivenessBeacon::Config liveness;
-  liveness.enabled = true;
-  liveness.target = req->controller;
-  liveness.query_id = config_.query_id;
-  liveness.op_id = op_id;
-  liveness.period = config_.liveness_period;
-  liveness.stop_at = config_.stop_at;
-
-  // Singleton replica group (Overcollection discipline: recruits are
-  // singletons like the originals) keyed uniquely per assignment.
-  ReplicaRole::Config replica;
-  replica.group_id =
-      HashCombine(config_.query_id,
-                  0x5E00000000ULL + (static_cast<uint64_t>(req->epoch) << 20) +
-                      req->partition * 131 + req->vgroup);
-  replica.members = {dev()->id()};
-  replica.stop_at = config_.stop_at;
-  replica.query_tag = config_.query_id;
-
-  if (req->role == RecruitRole::kSnapshotBuilder) {
-    SnapshotBuilderActor::Config cfg;
-    cfg.query_id = config_.query_id;
-    cfg.partition = req->partition;
-    cfg.vgroup = req->vgroup;
-    cfg.quota = config_.quota;
-    cfg.computers = {req->peer};
-    cfg.columns = config_.vgroup_columns[req->vgroup];
-    cfg.replica = replica;
-    cfg.trace = config_.trace;
-    cfg.emission_resends = config_.emission_resends;
-    cfg.resend_interval = config_.resend_interval;
-    cfg.epoch_override = static_cast<int64_t>(req->epoch);
-    cfg.liveness = liveness;
-    builder_ = std::make_unique<SnapshotBuilderActor>(net(), dev(),
-                                                      std::move(cfg));
-    // The inner actor's constructor re-bound the device handler for this
-    // query tag to itself; reclaim it so recruit resends keep reaching this
-    // wrapper (it forwards protocol traffic to the inner actor).
-    RebindHandler();
-    builder_->Start();
-  } else {
-    ComputerActor::Config cfg;
-    cfg.query_id = config_.query_id;
-    cfg.partition = req->partition;
-    cfg.vgroup = req->vgroup;
-    cfg.mode = ComputerActor::Mode::kGroupingSets;
-    cfg.gs_spec = config_.gs_spec;
-    if (req->vgroup < config_.vgroup_set_indices.size()) {
-      cfg.set_indices = config_.vgroup_set_indices[req->vgroup];
-    }
-    cfg.combiners = config_.combiners;
-    cfg.replica = replica;
-    cfg.trace = config_.trace;
-    cfg.emission_resends = config_.emission_resends;
-    cfg.resend_interval = config_.resend_interval;
-    cfg.liveness = liveness;
-    computer_ = std::make_unique<ComputerActor>(net(), dev(), std::move(cfg));
-    RebindHandler();
-    computer_->Start();
-  }
+  // Recruited spares get no recovery store (no checkpoint sink).
+  inner_ = std::make_unique<Operator>(roles_->Build(
+      net(), dev(), RoleTable::RecruitSpec(*req, dev()->id()),
+      /*checkpoint=*/nullptr, /*resume_state=*/{}));
+  // The inner actor's constructor re-bound the device handler for this
+  // query tag to itself; reclaim it so recruit resends keep reaching this
+  // wrapper (it forwards protocol traffic to the inner actor).
+  RebindHandler();
+  inner_->Start();
   SendAck();
 }
 
 void SpareActor::SendAck() {
   RecruitAckMsg ack;
-  ack.query_id = config_.query_id;
+  ack.query_id = query_tag();
   ack.role = assignment_.role;
   ack.partition = assignment_.partition;
   ack.vgroup = assignment_.vgroup;

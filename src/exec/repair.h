@@ -12,6 +12,9 @@
 
 namespace edgelet::exec {
 
+class RoleTable;
+struct Operator;
+
 // User-facing knobs of the mid-query failure-detection + partition-repair
 // subsystem (DESIGN.md §5f). Off by default: with enabled == false an
 // execution is bit-identical to one built before the subsystem existed.
@@ -178,26 +181,13 @@ class RepairController {
 };
 
 // A reserved spare edgelet, provisioned with the published query plan but
-// idle until recruited. On kRecruit it instantiates the assigned inner
-// actor (snapshot builder or computer) on its device, acks the controller,
-// and from then on forwards protocol traffic to the inner actor.
+// idle until recruited. On kRecruit it builds the assigned inner operator
+// (snapshot builder or computer) through the execution's role table, acks
+// the controller, and from then on forwards protocol traffic to it.
 class SpareActor : public ActorBase {
  public:
-  struct Config {
-    uint64_t query_id = 0;
-    uint64_t quota = 0;  // ceil(C/n), as for original builders
-    query::GroupingSetsSpec gs_spec;
-    std::vector<std::vector<std::string>> vgroup_columns;
-    std::vector<std::vector<size_t>> vgroup_set_indices;
-    std::vector<net::NodeId> combiners;
-    SimTime stop_at = kSimTimeNever;
-    SimDuration liveness_period = 5 * kSecond;
-    int emission_resends = 2;
-    SimDuration resend_interval = kDefaultResendInterval;
-    ExecutionTrace* trace = nullptr;
-  };
-
-  SpareActor(net::Transport* net, device::Device* dev, Config config);
+  // `roles` must outlive the actor (the owning execution holds both).
+  SpareActor(net::Transport* net, device::Device* dev, const RoleTable* roles);
   ~SpareActor() override;
 
   bool recruited() const { return recruited_; }
@@ -205,9 +195,8 @@ class SpareActor : public ActorBase {
   uint32_t partition() const { return assignment_.partition; }
   uint32_t vgroup() const { return assignment_.vgroup; }
   uint32_t epoch() const { return assignment_.epoch; }
-  // Non-null iff recruited into the respective role.
-  const SnapshotBuilderActor* builder() const { return builder_.get(); }
-  const ComputerActor* computer() const { return computer_.get(); }
+  // Non-null iff recruited as a snapshot builder.
+  const SnapshotBuilderActor* builder() const;
 
  protected:
   void HandleMessage(const net::Message& msg) override;
@@ -216,11 +205,10 @@ class SpareActor : public ActorBase {
   void OnRecruit(const net::Message& msg);
   void SendAck();
 
-  Config config_;
+  const RoleTable* roles_;
   bool recruited_ = false;
   RecruitMsg assignment_;
-  std::unique_ptr<SnapshotBuilderActor> builder_;
-  std::unique_ptr<ComputerActor> computer_;
+  std::unique_ptr<Operator> inner_;
 };
 
 }  // namespace edgelet::exec

@@ -8,7 +8,8 @@ namespace edgelet::exec {
 
 SnapshotBuilderActor::SnapshotBuilderActor(net::Transport* net,
                                            device::Device* dev, Config config)
-    : ActorBase(net, dev, config.query_id), config_(std::move(config)) {
+    : OperatorActor(net, dev, config.query_id, config.checkpoint),
+      config_(std::move(config)) {
   replica_ = std::make_unique<ReplicaRole>(net, dev, config_.replica);
   replica_->set_on_promote([this]() {
     if (config_.trace != nullptr) {
@@ -39,19 +40,13 @@ void SnapshotBuilderActor::Start() {
     }
   }
   replica_->Start();
-  if (config_.liveness.enabled) {
-    beacon_ = std::make_unique<LivenessBeacon>(net(), dev(), config_.liveness);
-    beacon_->Start();
-  }
+  StartBeacon(config_.liveness);
   if (complete_ && replica_->is_leader()) {
     // Resumed past completion: re-emit the durable slice — the computer
     // may never have received it (crash between checkpoint and send), and
     // dedups it if it did.
-    net()->ScheduleAfter(dev()->id(), dev()->ComputeCost(buffer_.num_rows()),
-                         [this]() {
-                           if (defunct()) return;
-                           EmitSliceWithResends();
-                         });
+    After(dev()->ComputeCost(buffer_.num_rows()),
+          [this]() { EmitSliceWithResends(); });
   }
 }
 
@@ -111,11 +106,6 @@ Status SnapshotBuilderActor::RestoreState(const Bytes& state) {
     schema_bytes_.clear();
   }
   return Status::OK();
-}
-
-void SnapshotBuilderActor::MaybeCheckpoint(bool critical) {
-  if (!config_.checkpoint) return;
-  config_.checkpoint(emit_epoch(), SerializeState(), critical);
 }
 
 void SnapshotBuilderActor::HandleMessage(const net::Message& msg) {
@@ -195,25 +185,18 @@ void SnapshotBuilderActor::MaybeEmit() {
   if (replica_->is_leader()) {
     // Building the representative snapshot costs compute time on this
     // device class before the slice goes out.
-    net()->ScheduleAfter(dev()->id(), dev()->ComputeCost(buffer_.num_rows()),
-                         [this]() {
-                           if (defunct()) return;
-                           EmitSliceWithResends();
-                         });
+    After(dev()->ComputeCost(buffer_.num_rows()),
+          [this]() { EmitSliceWithResends(); });
   }
 }
 
 void SnapshotBuilderActor::EmitSliceWithResends() {
   EmitSlice();
-  for (int i = 1; i <= config_.emission_resends; ++i) {
-    net()->ScheduleAfter(dev()->id(), ResendBackoffDelay(i, config_.resend_interval),
-        [this]() {
-          if (defunct()) return;
-          // Suppressed after a leadership yield: the replica that took
-          // over re-emits its own epoch's slice.
-          if (replica_->is_leader()) EmitSlice();
-        });
-  }
+  ScheduleResends(config_.emission_resends, config_.resend_interval, [this]() {
+    // Suppressed after a leadership yield: the replica that took over
+    // re-emits its own epoch's slice.
+    if (replica_->is_leader()) EmitSlice();
+  });
 }
 
 void SnapshotBuilderActor::EmitSlice() {

@@ -17,7 +17,7 @@ namespace edgelet::exec {
 // strategy the actor is one replica of the chain's builder group; every
 // replica collects, only the leader emits, and a failover replica re-emits
 // its own snapshot under a new epoch (its rank).
-class SnapshotBuilderActor : public ActorBase {
+class SnapshotBuilderActor : public OperatorActor {
  public:
   struct Config {
     uint64_t query_id = 0;
@@ -51,7 +51,7 @@ class SnapshotBuilderActor : public ActorBase {
   SnapshotBuilderActor(net::Transport* net, device::Device* dev,
                        Config config);
 
-  void Start();
+  void Start() override;
 
   bool snapshot_complete() const { return complete_; }
   uint64_t tuples_collected() const { return buffer_.num_rows(); }
@@ -68,9 +68,9 @@ class SnapshotBuilderActor : public ActorBase {
                : replica_->rank();
   }
 
-  // Serialized volatile state (what a checkpoint persists). Seen
-  // contributor keys are written in ascending order.
-  Bytes SerializeState() const;
+  // Seen contributor keys are written in ascending order.
+  Bytes SerializeState() const override;
+  uint32_t checkpoint_epoch() const override { return emit_epoch(); }
 
  protected:
   void HandleMessage(const net::Message& msg) override;
@@ -89,12 +89,10 @@ class SnapshotBuilderActor : public ActorBase {
   void MaybeEmit();
   void EmitSlice();
   void EmitSliceWithResends();
-  void MaybeCheckpoint(bool critical);
   Status RestoreState(const Bytes& state);
 
   Config config_;
   std::unique_ptr<ReplicaRole> replica_;
-  std::unique_ptr<LivenessBeacon> beacon_;
   data::Table buffer_;
   // buffer_'s schema as contributions carry it; empty until the first
   // contribution fixes the schema (a serialized schema is never empty).

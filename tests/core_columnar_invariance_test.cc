@@ -114,8 +114,8 @@ TEST(ColumnarInvarianceTest, CohortFingerprintShardInvariant) {
             serial);
 }
 
-// The compat row path (DistributeData(Table)) must hand devices exactly
-// the rows the view path does.
+// A population that went through rows and back into a fresh columnar
+// store must hand devices exactly the rows the framework's own store does.
 TEST(ColumnarInvarianceTest, RowAndViewDistributionAgree) {
   FrameworkConfig cfg;
   cfg.fleet.num_contributors = 60;
@@ -126,11 +126,16 @@ TEST(ColumnarInvarianceTest, RowAndViewDistributionAgree) {
   EdgeletFramework fw(cfg);
   ASSERT_TRUE(fw.Init().ok());
 
-  data::Table rows = fw.population_view().ToTable();
+  auto rows = data::ColumnTable::FromTable(fw.population_view().ToTable());
+  ASSERT_TRUE(rows.ok());
   FrameworkConfig cfg2 = cfg;
   EdgeletFramework fw2(cfg2);
   ASSERT_TRUE(fw2.Init().ok());
-  ASSERT_TRUE(fw2.fleet()->DistributeData(rows).ok());
+  ASSERT_TRUE(fw2.fleet()
+                  ->DistributeData(data::TableView(
+                      std::make_shared<const data::ColumnTable>(
+                          std::move(*rows))))
+                  .ok());
 
   const auto& a = fw.fleet()->contributors();
   const auto& b = fw2.fleet()->contributors();
@@ -157,8 +162,6 @@ TEST(ColumnarInvarianceTest, MillionRowsSingleSharedStore) {
   const auto& store = fw.population_store();
   ASSERT_NE(store, nullptr);
   EXPECT_EQ(store->num_rows(), 1'000'000u);
-  // Init must not have materialized the row-store compat copy.
-  EXPECT_FALSE(fw.population_materialized());
 
   size_t covered = 0;
   for (const device::Device* dev : fw.fleet()->contributors()) {

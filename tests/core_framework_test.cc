@@ -229,11 +229,37 @@ TEST_F(PlannerTest, ExposureDropsWithHorizontalPartitioning) {
 TEST(FrameworkTest, InitBuildsPopulationAndFleet) {
   EdgeletFramework fw(StableConfig());
   ASSERT_TRUE(fw.Init().ok());
-  EXPECT_EQ(fw.population().num_rows(), 120u);
+  EXPECT_EQ(fw.population_view().num_rows(), 120u);
   EXPECT_EQ(fw.fleet()->contributors().size(), 120u);
   EXPECT_NE(fw.querier_node(), 0u);
   // Double init rejected.
   EXPECT_FALSE(fw.Init().ok());
+}
+
+// Query id 0 is no valid tag: every message of an execution carries its
+// id, and traffic is attributed by it. Execution rejects it, as the
+// scheduler's Submit does, and the framework stays usable.
+TEST(FrameworkTest, ExecuteRejectsQueryIdZero) {
+  EdgeletFramework fw(StableConfig(11));
+  ASSERT_TRUE(fw.Init().ok());
+  PrivacyConfig privacy;
+  privacy.max_tuples_per_edgelet = 10;
+  auto d = fw.Plan(HealthSurveyQuery(/*id=*/0), privacy, {},
+                   Strategy::kOvercollection);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+
+  auto rejected = fw.Execute(*d, QuickExecution(11));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_TRUE(rejected.status().IsInvalidArgument())
+      << rejected.status().ToString();
+  auto started = fw.StartExecution(*d, QuickExecution(11));
+  ASSERT_FALSE(started.ok());
+  EXPECT_TRUE(started.status().IsInvalidArgument());
+
+  d->query.query_id = 1;
+  auto report = fw.Execute(*d, QuickExecution(11));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->success);
 }
 
 TEST(FrameworkTest, GroupingSetsEndToEndNoFailures) {

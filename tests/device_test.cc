@@ -173,18 +173,17 @@ TEST_F(DeviceTest, FleetDataDistribution) {
   Fleet fleet(&network_, &authority_, cfg, 3);
   data::HealthDataParams params;
   params.num_individuals = 20;
-  data::Table table = data::GenerateHealthData(params, 5);
-  ASSERT_TRUE(fleet.DistributeData(table).ok());
+  data::TableView population(std::make_shared<const data::ColumnTable>(
+      data::GenerateHealthColumns(params, 5)));
+  ASSERT_TRUE(fleet.DistributeData(population).ok());
+  const data::Table table = population.ToTable();
   for (size_t i = 0; i < 20; ++i) {
-    const data::Table& local = fleet.contributors()[i]->local_data();
+    const data::Table local = fleet.contributors()[i]->local_view().ToTable();
     ASSERT_EQ(local.num_rows(), 1u);
     EXPECT_EQ(local.row(0), table.row(i));
   }
   // Wrong cardinality rejected.
-  data::HealthDataParams small;
-  small.num_individuals = 5;
-  EXPECT_FALSE(
-      fleet.DistributeData(data::GenerateHealthData(small, 5)).ok());
+  EXPECT_FALSE(fleet.DistributeData(population.Slice(0, 5)).ok());
 }
 
 TEST_F(DeviceTest, FleetProvisionAll) {

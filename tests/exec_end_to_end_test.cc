@@ -149,12 +149,13 @@ TEST(SketchAggregatesEndToEnd, DistinctAndQuantileFlowThrough) {
   // the same snapshot rows.
   std::set<uint64_t> keys(report->snapshot_contributors_by_vgroup[0].begin(),
                           report->snapshot_contributors_by_vgroup[0].end());
-  auto id_idx = fw.population().schema().IndexOf("contributor_id");
-  auto sex_idx = fw.population().schema().IndexOf("sex");
-  auto dep_idx = fw.population().schema().IndexOf("dependency");
+  const data::Table population = fw.population_view().ToTable();
+  auto id_idx = population.schema().IndexOf("contributor_id");
+  auto sex_idx = population.schema().IndexOf("sex");
+  auto dep_idx = population.schema().IndexOf("dependency");
   ASSERT_TRUE(id_idx.ok() && sex_idx.ok() && dep_idx.ok());
   std::map<std::string, std::set<int64_t>> truth;
-  for (const auto& row : fw.population().rows()) {
+  for (const auto& row : population.rows()) {
     if (!keys.count(static_cast<uint64_t>(row[*id_idx].AsInt64()))) continue;
     truth[row[*sex_idx].AsString()].insert(row[*dep_idx].AsInt64());
   }
