@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "chaos/chaos.h"
@@ -37,9 +38,12 @@ query::Query MiniQuery(uint64_t id = 1) {
   return q;
 }
 
-FrameworkConfig SmallFleet(uint64_t seed) {
+// `cohort_size` members share one contributor device (1 = one device per
+// member).
+FrameworkConfig SmallFleet(uint64_t seed, size_t cohort_size = 1) {
   FrameworkConfig cfg;
   cfg.fleet.num_contributors = 100;
+  cfg.fleet.contributor_cohort_size = cohort_size;
   cfg.fleet.num_processors = 30;
   cfg.fleet.enable_churn = false;
   cfg.seed = seed;
@@ -104,11 +108,12 @@ TEST(RepairPlanTest, PlannerReservesRankOrderedSparePool) {
 // live complete partitions drop to zero — strictly more failures than the
 // planned m tolerates. Plain overcollection must fail; with the repair
 // subsystem the controller detects the crashes, recruits spares, re-
-// solicits the crowd, and the execution completes validly.
-TEST(RepairTest, RepairRecoversWhereOvercollectionCannot) {
+// solicits the crowd, and the execution completes validly. `golden` pins
+// the repaired report.
+void RecoversUnderRepair(size_t cohort_size, uint64_t golden) {
   // Repair disabled: the same crash schedule is fatal.
   {
-    EdgeletFramework fw(SmallFleet(/*seed=*/7));
+    EdgeletFramework fw(SmallFleet(/*seed=*/7, cohort_size));
     ASSERT_TRUE(fw.Init().ok());
     auto d = fw.Plan(MiniQuery(), {}, {0.1, 0.99}, Strategy::kOvercollection);
     ASSERT_TRUE(d.ok());
@@ -125,7 +130,7 @@ TEST(RepairTest, RepairRecoversWhereOvercollectionCannot) {
   }
   // Repair enabled: same plan, same kills, valid completion.
   {
-    EdgeletFramework fw(SmallFleet(/*seed=*/7));
+    EdgeletFramework fw(SmallFleet(/*seed=*/7, cohort_size));
     ASSERT_TRUE(fw.Init().ok());
     auto d = fw.Plan(MiniQuery(), {}, {0.1, 0.99}, Strategy::kOvercollection);
     ASSERT_TRUE(d.ok());
@@ -147,12 +152,27 @@ TEST(RepairTest, RepairRecoversWhereOvercollectionCannot) {
     // Pins the recruitment path byte for byte: recruited builders and
     // computers are configured by the same role functions as the planned
     // ones, and this golden holds them to the original recruit wiring.
-    EXPECT_EQ(exec::ReportFingerprint(*report), 0x22E29D330B7F117CULL)
+    EXPECT_EQ(exec::ReportFingerprint(*report), golden)
         << std::hex << exec::ReportFingerprint(*report);
     ValidityOracle oracle(&fw);
     auto audit = oracle.Audit(*d, *report);
     ASSERT_TRUE(audit.ok());
     EXPECT_EQ(audit->verdict, TrialVerdict::kValid) << audit->detail;
+  }
+}
+
+// Run once over one-member contributor devices and once over cohorts of
+// four, so the re-solicitation fan-out over a device's members is pinned
+// as well.
+TEST(RepairTest, RepairRecoversWhereOvercollectionCannot) {
+  struct Case {
+    size_t cohort_size;
+    uint64_t golden;
+  };
+  for (const Case& c : {Case{1, 0x22E29D330B7F117CULL},
+                        Case{4, 0x41F8F68EFFCC7BE6ULL}}) {
+    SCOPED_TRACE("cohort size " + std::to_string(c.cohort_size));
+    RecoversUnderRepair(c.cohort_size, c.golden);
   }
 }
 
