@@ -1,8 +1,6 @@
 #include "exec/actor.h"
 
 #include "common/logging.h"
-#include "data/partition.h"
-#include "query/scan.h"
 
 namespace edgelet::exec {
 
@@ -39,95 +37,6 @@ void OperatorActor::StartBeacon(const LivenessBeacon::Config& config) {
   if (!config.enabled) return;
   beacon_ = std::make_unique<LivenessBeacon>(net(), dev(), config);
   beacon_->Start();
-}
-
-std::optional<ContributionEncoder> ResolveContributionEncoder(
-    const device::Device& dev, uint64_t query_id,
-    const std::vector<std::vector<std::string>>& vgroup_columns) {
-  const data::TableView& local = dev.local_view();
-  if (!local.has_store()) return std::nullopt;
-  auto encoder =
-      ContributionEncoder::Resolve(query_id, local.schema(), vgroup_columns);
-  if (!encoder.ok()) {
-    EDGELET_LOG(kWarning) << "device " << dev.id() << " projection error: "
-                          << encoder.status().ToString();
-    return std::nullopt;
-  }
-  return std::move(*encoder);
-}
-
-ContributorActor::ContributorActor(net::Transport* net, device::Device* dev,
-                                   Config config)
-    : ActorBase(net, dev, config.query_id), config_(std::move(config)) {}
-
-void ContributorActor::Start() {
-  net()->ScheduleAt(dev()->id(), config_.send_at, [this]() { Contribute(); });
-}
-
-void ContributorActor::Contribute() {
-  // Qualification is a typed scan over the device's zero-copy view into
-  // the shared population store; each vertical group's projection is
-  // encoded straight from the store's columns.
-  const data::TableView& local = dev()->local_view();
-  if (local.empty()) return;
-
-  auto qualified = query::ApplyPredicates(local, config_.predicates);
-  if (!qualified.ok()) {
-    EDGELET_LOG(kWarning) << "contributor " << dev()->id()
-                          << " predicate error: "
-                          << qualified.status().ToString();
-    return;
-  }
-  if (qualified->empty()) return;  // the owner's data does not qualify
-  // Resolved here, not kept: a contributor sends once, and a crowd of
-  // idle actors must not each hold an encoder.
-  auto encoder = ResolveContributionEncoder(*dev(), config_.query_id,
-                                            config_.vgroup_columns);
-  if (!encoder) return;
-
-  uint32_t partition = data::PartitionForKey(
-      config_.contributor_key, static_cast<uint32_t>(config_.builders.size()));
-  for (size_t vg = 0; vg < config_.vgroup_columns.size(); ++vg) {
-    SealAndSendAll(config_.builders[partition][vg], kContribution,
-                   encoder->Encode(vg, config_.contributor_key, *qualified));
-  }
-  contributed_ = true;
-  if (config_.trace != nullptr) {
-    config_.trace->Record(now(), TraceEventKind::kContributionSent,
-                          dev()->id());
-  }
-}
-
-void ContributorActor::HandleMessage(const net::Message& msg) {
-  if (msg.type == kResolicit) OnResolicit(msg);
-}
-
-void ContributorActor::OnResolicit(const net::Message& msg) {
-  if (!OpenSealed(msg).ok()) return;
-  auto req = ResolicitMsg::Decode(opened_payload());
-  if (!req.ok() || req->query_id != config_.query_id) return;
-  if (req->vgroup >= config_.vgroup_columns.size()) return;
-  // Only the partition this contributor hashes into may sample its row —
-  // re-solicitation must preserve the plan's hash partitioning.
-  uint32_t partition = data::PartitionForKey(
-      config_.contributor_key, static_cast<uint32_t>(config_.builders.size()));
-  if (partition != req->partition) return;
-
-  const data::TableView& local = dev()->local_view();
-  if (local.empty()) return;
-  auto qualified = query::ApplyPredicates(local, config_.predicates);
-  if (!qualified.ok() || qualified->empty()) return;
-  auto encoder = ResolveContributionEncoder(*dev(), config_.query_id,
-                                            config_.vgroup_columns);
-  if (!encoder) return;
-  SealAndSend(req->builder, kContribution,
-              encoder->Encode(req->vgroup, config_.contributor_key,
-                              *qualified));
-  if (config_.trace != nullptr) {
-    config_.trace->Record(now(), TraceEventKind::kContributionSent,
-                          dev()->id(), static_cast<int>(req->partition),
-                          static_cast<int>(req->vgroup), "re-solicited");
-  }
 }
 
 void QuerierActor::HandleMessage(const net::Message& msg) {

@@ -8,6 +8,7 @@
 #include "exec/repair.h"
 #include "exec/replica.h"
 #include "ml/kmeans.h"
+#include "query/query.h"
 
 namespace edgelet::exec {
 

@@ -8,6 +8,7 @@
 #include "exec/actor.h"
 #include "exec/replica.h"
 #include "ml/kmeans.h"
+#include "query/query.h"
 
 namespace edgelet::exec {
 

@@ -175,67 +175,51 @@ std::unique_ptr<RecoveryHost> QueryExecution::MakeRecoveryHost(size_t index) {
 
 Status QueryExecution::BuildContributors() {
   const auto& query = deployment_.query;
+  contribution_plan_ = {.query_id = query.query_id,
+                        .predicates = query.predicates,
+                        .vgroup_columns = deployment_.vgroup_columns,
+                        .builders = deployment_.sb_groups,
+                        .trace = trace_.get()};
+  // Contact times come from one stream in (device, row) order: fleet order
+  // for one-member devices, row order inside a cohort.
   Rng rng(Mix64(config_.seed) ^ 0xC0117B);
-  if (fleet_->cohort_size() > 1) {
-    // Cohort fleet: one super-node actor per contributor device, one
-    // Member per hosted row. Contact times are drawn from the same global
-    // stream in member (= data row) order, exactly as the individual path
-    // draws them in fleet order.
-    for (device::Device* dev : fleet_->contributors()) {
-      CohortActor::Config cfg;
-      cfg.query_id = query.query_id;
-      cfg.predicates = query.predicates;
-      cfg.vgroup_columns = deployment_.vgroup_columns;
-      cfg.builders = deployment_.sb_groups;
-      cfg.trace = trace_.get();
-      const data::TableView& local = dev->local_view();
-      cfg.members.reserve(local.num_rows());
-      for (size_t r = 0; r < local.num_rows(); ++r) {
-        CohortActor::Member member;
-        member.row = static_cast<uint32_t>(r);
-        // Per-member key from the record itself; rows without one get a
-        // (device, row)-derived key that stays unique across the fleet.
-        member.contributor_key = (dev->id() << 20) | r;
-        auto key = local.At(r, data::kContributorIdColumn);
-        if (key.ok() && !key->is_null()) {
-          member.contributor_key = static_cast<uint64_t>(key->AsInt64());
-        }
-        member.send_at = base_ + (config_.collection_window > 0
-                                      ? rng.NextBelow(config_.collection_window)
-                                      : 0);
-        cfg.members.push_back(member);
-      }
-      auto actor = std::make_unique<CohortActor>(net_, dev, std::move(cfg));
-      actor->Start();
-      cohorts_.push_back(std::move(actor));
-    }
-    return Status::OK();
-  }
+  const data::ColumnTable* keyed_store = nullptr;
+  size_t key_col = 0;
   for (device::Device* dev : fleet_->contributors()) {
-    ContributorActor::Config cfg;
-    cfg.query_id = query.query_id;
-    cfg.predicates = query.predicates;
-    cfg.vgroup_columns = deployment_.vgroup_columns;
-    cfg.builders = deployment_.sb_groups;
-    // The contributor key is the owner's id when the record carries one,
-    // the device id otherwise (it feeds hash partitioning either way).
-    cfg.contributor_key = dev->id();
     const data::TableView& local = dev->local_view();
-    if (!local.empty()) {
-      auto key = local.At(0, data::kContributorIdColumn);
-      if (key.ok() && !key->is_null()) {
-        cfg.contributor_key = static_cast<uint64_t>(key->AsInt64());
+    if (local.empty()) continue;
+    // A member's key is its record's contributor_id: it feeds hash
+    // partitioning and the validity oracle's snapshot reconstruction.
+    if (&local.store() != keyed_store) {
+      auto col = local.schema().IndexOf(data::kContributorIdColumn);
+      if (!col.ok() ||
+          local.schema().column(*col).type != data::ValueType::kInt64) {
+        return Status::InvalidArgument(
+            "population store lacks an int64 contributor_id column");
       }
+      keyed_store = &local.store();
+      key_col = *col;
     }
-    cfg.send_at = base_ + (config_.collection_window > 0
-                               ? rng.NextBelow(config_.collection_window)
-                               : 0);
-    cfg.trace = trace_.get();
-    auto actor = std::make_unique<ContributorActor>(net_, dev,
-                                                    std::move(cfg));
-    actor->Start();
-    contributors_.push_back(std::move(actor));
+    std::vector<ContributorActor::Member> members(local.num_rows());
+    for (size_t r = 0; r < members.size(); ++r) {
+      const size_t store_row = local.StoreRow(r);
+      if (keyed_store->IsNull(store_row, key_col)) {
+        return Status::InvalidArgument("member without a contributor_id");
+      }
+      members[r].contributor_key =
+          static_cast<uint64_t>(keyed_store->Int64At(store_row, key_col));
+      members[r].row = static_cast<uint32_t>(r);
+      members[r].send_at =
+          base_ + (config_.collection_window > 0
+                       ? rng.NextBelow(config_.collection_window)
+                       : 0);
+    }
+    contributors_.push_back(std::make_unique<ContributorActor>(
+        net_, dev, &contribution_plan_, std::move(members)));
   }
+  // Started only once every key resolved: a rejected Start() leaves no
+  // event behind that points into this execution.
+  for (const auto& contributor : contributors_) contributor->Start();
   return Status::OK();
 }
 
@@ -442,9 +426,6 @@ void QueryExecution::CollectReport() {
   }
   report_.duplicate_results = querier_->duplicates();
   for (const auto& c : contributors_) {
-    if (c->contributed()) ++report_.contributors_participating;
-  }
-  for (const auto& c : cohorts_) {
     report_.contributors_participating += c->members_contributed();
   }
 

@@ -5,9 +5,9 @@
 
 #include "common/serialize.h"
 #include "device/fleet.h"
-#include "exec/cohort.h"
 #include "exec/combiner.h"
 #include "exec/computer.h"
+#include "exec/contributor.h"
 #include "exec/recovery.h"
 #include "exec/repair.h"
 #include "exec/roles.h"
@@ -217,6 +217,8 @@ class QueryExecution {
     std::unique_ptr<RecoveryHost> host;
   };
 
+  // One ContributorActor per contributor device, one member per row of
+  // the device's view, keyed by the row's contributor_id.
   Status BuildContributors();
   // Deploys every planned builder, computer and combiner, in that order.
   Status BuildOperators();
@@ -240,11 +242,10 @@ class QueryExecution {
   Deployment deployment_;
   ExecutionConfig config_;
 
+  // Read by every contributor actor; set once in BuildContributors.
+  ContributionPlan contribution_plan_;
+  // One actor per contributor device that hosts members.
   std::vector<std::unique_ptr<ContributorActor>> contributors_;
-  // Cohort fleets (fleet->cohort_size() > 1) get one CohortActor per
-  // contributor device instead; exactly one of these two vectors is
-  // populated.
-  std::vector<std::unique_ptr<CohortActor>> cohorts_;
   std::unique_ptr<RoleTable> roles_;
   // Chain operators in build order: builders by [partition][vgroup][rank],
   // then computers likewise, then combiners.
