@@ -62,11 +62,6 @@ SimDuration Device::ComputeCost(uint64_t tuples) const {
 
 void Device::BindQueryHandler(uint64_t query_tag, const void* owner,
                               MessageHandler fn) {
-  if (query_tag == 0) {
-    handler_ = std::move(fn);
-    handler_owner_ = owner;
-    return;
-  }
   for (QueryBinding& b : bindings_) {
     if (b.tag == query_tag) {  // last bind wins
       b.owner = owner;
@@ -78,13 +73,6 @@ void Device::BindQueryHandler(uint64_t query_tag, const void* owner,
 }
 
 void Device::UnbindQueryHandler(uint64_t query_tag, const void* owner) {
-  if (query_tag == 0) {
-    if (handler_owner_ == owner && owner != nullptr) {
-      handler_ = nullptr;
-      handler_owner_ = nullptr;
-    }
-    return;
-  }
   for (size_t i = 0; i < bindings_.size(); ++i) {
     if (bindings_[i].tag == query_tag) {
       if (bindings_[i].owner == owner) {
@@ -124,8 +112,6 @@ void Device::OnRestart() {
   // dead. The actor objects themselves survive (scheduled lambdas pin
   // them); bumping the boot epoch fences their timers and resends. The
   // owner-checked unbind in their destructors then no-ops harmlessly.
-  handler_ = nullptr;
-  handler_owner_ = nullptr;
   bindings_.clear();
   ++boot_epoch_;
   // Recovery hooks replay sealed logs and rebuild roles. Copy first: a
@@ -184,31 +170,14 @@ Result<Bytes> Device::OpenPayload(const net::Message& msg) {
 }
 
 void Device::OnMessage(const net::Message& msg) {
-  if (msg.query_tag != 0) {
-    for (const QueryBinding& b : bindings_) {
-      if (b.tag == msg.query_tag) {
-        if (b.fn) b.fn(msg);
-        return;
-      }
+  // Traffic for a query this device no longer (or never) serves is
+  // dropped: query A's strays must not reach query B's actor.
+  for (const QueryBinding& b : bindings_) {
+    if (b.tag == msg.query_tag) {
+      if (b.fn) b.fn(msg);
+      return;
     }
-    // Tagged traffic for a query this device no longer (or never) serves.
-    // If the device serves other tenants, dropping here is the isolation
-    // boundary: query A's strays must not reach query B's actor. A device
-    // with no tagged bindings falls through to the untagged handler so
-    // harness code that installs a raw handler still sees everything.
-    if (!bindings_.empty()) return;
-    if (handler_) handler_(msg);
-    return;
   }
-  // Untagged message: the legacy slot if present, else — for exactly one
-  // bound query — route to it (single-tenant compatibility: tests drive
-  // actors with raw untagged sends). Ambiguous untagged traffic to a
-  // multi-tenant device is dropped.
-  if (handler_) {
-    handler_(msg);
-    return;
-  }
-  if (bindings_.size() == 1 && bindings_[0].fn) bindings_[0].fn(msg);
 }
 
 }  // namespace edgelet::device

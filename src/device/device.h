@@ -70,19 +70,16 @@ class Device : public net::Node {
   void SetLocalView(data::TableView view) { local_view_ = std::move(view); }
   const data::TableView& local_view() const { return local_view_; }
 
-  // Exactly one actor owns the device *per query*. Pre-multi-tenant code
-  // installed a single handler; that survives as the untagged (tag 0) slot.
+  // Exactly one actor owns the device *per query*: inbound messages are
+  // routed by their query tag, and a message whose tag has no binding
+  // (tag 0 included) is dropped.
   using MessageHandler = std::function<void(const net::Message&)>;
-  void set_message_handler(MessageHandler handler) {
-    handler_ = std::move(handler);
-    handler_owner_ = nullptr;
-  }
 
   // Binds `fn` as the handler for messages tagged `query_tag` (last bind
-  // wins, mirroring set_message_handler; tag 0 binds the untagged slot).
-  // `owner` identifies the binder: an unbind from a stale owner is a no-op,
-  // so a wrapper actor (SpareActor) can reclaim the tag from the inner
-  // actor it hosts without the inner actor's destructor clobbering it.
+  // wins). `owner` identifies the binder: an unbind from a stale owner is
+  // a no-op, so a wrapper actor (SpareActor) can reclaim the tag from the
+  // inner actor it hosts without the inner actor's destructor clobbering
+  // it.
   void BindQueryHandler(uint64_t query_tag, const void* owner,
                         MessageHandler fn);
   // Removes the binding for `query_tag` iff still owned by `owner`.
@@ -92,13 +89,13 @@ class Device : public net::Node {
   // Seals `plaintext` for the destination enclave and sends it. The wire
   // header is the AEAD associated data, so tampering with routing breaks
   // authentication. `query_tag` stamps the message for per-tenant dispatch
-  // and stats attribution (0 = untagged; not a wire field).
+  // and stats attribution (not a wire field).
   Status SendSealed(net::NodeId to, uint32_t type, const Bytes& plaintext,
-                    uint64_t query_tag = 0);
+                    uint64_t query_tag);
   // Sends an unsealed control message (liveness pings etc. — no payload
   // confidentiality needed).
   void SendControl(net::NodeId to, uint32_t type, const Bytes& payload,
-                   uint64_t query_tag = 0);
+                   uint64_t query_tag);
 
   // Opens a sealed payload received from msg.from.
   Result<Bytes> OpenPayload(const net::Message& msg);
@@ -132,7 +129,7 @@ class Device : public net::Node {
   // serves a handful of queries at once but fleets reach millions of
   // devices, so per-device footprint beats lookup asymptotics.
   struct QueryBinding {
-    uint64_t tag = 0;  // always != 0 here; tag 0 lives in handler_
+    uint64_t tag = 0;
     const void* owner = nullptr;
     MessageHandler fn;
   };
@@ -148,8 +145,6 @@ class Device : public net::Node {
     RestartHook fn;
   };
 
-  MessageHandler handler_;
-  const void* handler_owner_ = nullptr;
   std::vector<QueryBinding> bindings_;
   std::vector<RestartBinding> restart_hooks_;
   uint64_t boot_epoch_ = 0;

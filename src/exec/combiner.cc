@@ -11,7 +11,8 @@ CombinerActor::CombinerActor(net::Transport* net, device::Device* dev,
                              Config config)
     : OperatorActor(net, dev, config.query_id, config.checkpoint),
       config_(std::move(config)) {
-  replica_ = std::make_unique<ReplicaRole>(net, dev, config_.replica);
+  replica_ =
+      std::make_unique<ReplicaRole>(net, dev, query_tag(), config_.replica);
   replica_->set_on_promote([this]() { EmitPending(); });
   if (config_.repair.enabled) {
     controller_ = std::make_unique<RepairController>(net, dev, config_.repair);

@@ -11,7 +11,8 @@ ComputerActor::ComputerActor(net::Transport* net, device::Device* dev,
     : OperatorActor(net, dev, config.query_id, config.checkpoint),
       config_(std::move(config)),
       mb_rng_(Mix64(config_.query_id) ^ Mix64(config_.partition + 0x77)) {
-  replica_ = std::make_unique<ReplicaRole>(net, dev, config_.replica);
+  replica_ =
+      std::make_unique<ReplicaRole>(net, dev, query_tag(), config_.replica);
   replica_->set_on_promote([this]() {
     if (config_.trace != nullptr) {
       config_.trace->Record(this->now(),

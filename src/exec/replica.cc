@@ -8,8 +8,11 @@
 namespace edgelet::exec {
 
 ReplicaRole::ReplicaRole(net::Transport* net, device::Device* dev,
-                         Config config)
-    : net_(net), dev_(dev), config_(std::move(config)) {
+                         uint64_t query_tag, Config config)
+    : net_(net),
+      dev_(dev),
+      query_tag_(query_tag),
+      config_(std::move(config)) {
   auto it = std::find(config_.members.begin(), config_.members.end(),
                       dev_->id());
   if (it == config_.members.end()) {
@@ -58,8 +61,7 @@ void ReplicaRole::Tick() {
     LeaderPingMsg ping{config_.group_id, rank_};
     Bytes payload = ping.Encode();
     for (size_t r = rank_ + 1; r < config_.members.size(); ++r) {
-      dev_->SendControl(config_.members[r], kLeaderPing, payload,
-                        config_.query_tag);
+      dev_->SendControl(config_.members[r], kLeaderPing, payload, query_tag_);
     }
   } else {
     // Promote when every lower-ranked replica has been silent longer than

@@ -31,12 +31,12 @@ class ReplicaRole {
     // Ping/monitor loop stops after this time (the query deadline);
     // prevents an idle replica group from keeping the simulation alive.
     SimTime stop_at = kSimTimeNever;
-    // Query tag stamped on leader pings so multi-tenant devices route them
-    // to the right actor (0 = untagged, pre-multi-tenant behavior).
-    uint64_t query_tag = 0;
   };
 
-  ReplicaRole(net::Transport* net, device::Device* dev, Config config);
+  // `query_tag` is the owning actor's: leader pings carry it so the
+  // group's devices route them to that query's actors.
+  ReplicaRole(net::Transport* net, device::Device* dev, uint64_t query_tag,
+              Config config);
 
   // Aborts the process if the role is misconfigured (see misconfigured()):
   // a replica that can neither ping nor promote must not run.
@@ -63,6 +63,7 @@ class ReplicaRole {
 
   net::Transport* net_;
   device::Device* dev_;
+  uint64_t query_tag_;
   Config config_;
   uint32_t rank_ = 0;
   bool misconfigured_ = false;

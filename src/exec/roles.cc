@@ -46,7 +46,6 @@ ReplicaRole::Config RoleTable::Replica(const OperatorSpec& spec) const {
   ReplicaRole::Config replica;
   replica.group_id = HashCombine(query_id(), salt);
   replica.members = spec.members;
-  replica.query_tag = query_id();
   replica.ping_period = config_.ping_period;
   replica.failover_timeout = config_.failover_timeout;
   replica.stop_at = base_ + config_.deadline;

@@ -10,7 +10,8 @@ SnapshotBuilderActor::SnapshotBuilderActor(net::Transport* net,
                                            device::Device* dev, Config config)
     : OperatorActor(net, dev, config.query_id, config.checkpoint),
       config_(std::move(config)) {
-  replica_ = std::make_unique<ReplicaRole>(net, dev, config_.replica);
+  replica_ =
+      std::make_unique<ReplicaRole>(net, dev, query_tag(), config_.replica);
   replica_->set_on_promote([this]() {
     if (config_.trace != nullptr) {
       config_.trace->Record(this->now(),

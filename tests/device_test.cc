@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "data/generator.h"
 
@@ -16,6 +17,9 @@ DeviceProfile NoChurn(DeviceProfile p) {
   p.churn = net::ChurnModel::AlwaysOn();
   return p;
 }
+
+// Query tag the single-query tests bind and send under.
+constexpr uint64_t kTag = 1;
 
 class DeviceTest : public ::testing::Test {
  protected:
@@ -55,12 +59,13 @@ TEST_F(DeviceTest, SealedMessagingEndToEnd) {
   ASSERT_TRUE(b.enclave().Provision().ok());
 
   Bytes received;
-  b.set_message_handler([&](const net::Message& msg) {
+  b.BindQueryHandler(kTag, this, [&](const net::Message& msg) {
     auto opened = b.OpenPayload(msg);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
     received = *opened;
   });
-  ASSERT_TRUE(a.SendSealed(b.id(), 7, BytesFromString("hello box")).ok());
+  ASSERT_TRUE(
+      a.SendSealed(b.id(), 7, BytesFromString("hello box"), kTag).ok());
   sim_.Run();
   EXPECT_EQ(StringFromBytes(received), "hello box");
 }
@@ -73,13 +78,14 @@ TEST_F(DeviceTest, OpenPayloadIntoReusesScratch) {
 
   Bytes scratch;  // one buffer across all deliveries
   std::vector<std::string> received;
-  b.set_message_handler([&](const net::Message& msg) {
+  b.BindQueryHandler(kTag, this, [&](const net::Message& msg) {
     Status s = b.OpenPayloadInto(msg, &scratch);
     ASSERT_TRUE(s.ok()) << s.ToString();
     received.push_back(StringFromBytes(scratch));
   });
-  ASSERT_TRUE(a.SendSealed(b.id(), 7, BytesFromString("first message")).ok());
-  ASSERT_TRUE(a.SendSealed(b.id(), 7, BytesFromString("2nd")).ok());
+  ASSERT_TRUE(
+      a.SendSealed(b.id(), 7, BytesFromString("first message"), kTag).ok());
+  ASSERT_TRUE(a.SendSealed(b.id(), 7, BytesFromString("2nd"), kTag).ok());
   sim_.Run();
   ASSERT_EQ(received.size(), 2u);
   EXPECT_EQ(received[0], "first message");
@@ -92,10 +98,10 @@ TEST_F(DeviceTest, SealedPayloadIsCiphertextOnTheWire) {
   ASSERT_TRUE(a.enclave().Provision().ok());
   ASSERT_TRUE(b.enclave().Provision().ok());
   Bytes wire;
-  b.set_message_handler(
-      [&](const net::Message& msg) { wire = msg.payload; });
+  b.BindQueryHandler(kTag, this,
+                     [&](const net::Message& msg) { wire = msg.payload; });
   Bytes secret = BytesFromString("raw medical record");
-  ASSERT_TRUE(a.SendSealed(b.id(), 1, secret).ok());
+  ASSERT_TRUE(a.SendSealed(b.id(), 1, secret, kTag).ok());
   sim_.Run();
   ASSERT_FALSE(wire.empty());
   EXPECT_EQ(wire.size(), secret.size() + 16);  // AEAD tag
@@ -104,7 +110,7 @@ TEST_F(DeviceTest, SealedPayloadIsCiphertextOnTheWire) {
 
 TEST_F(DeviceTest, UnprovisionedSendFails) {
   Device a(&network_, &authority_, NoChurn(DeviceProfile::Pc()), "code");
-  EXPECT_FALSE(a.SendSealed(99, 1, BytesFromString("x")).ok());
+  EXPECT_FALSE(a.SendSealed(99, 1, BytesFromString("x"), kTag).ok());
 }
 
 TEST_F(DeviceTest, SequenceNumbersAdvancePerMessage) {
@@ -114,18 +120,62 @@ TEST_F(DeviceTest, SequenceNumbersAdvancePerMessage) {
   ASSERT_TRUE(b.enclave().Provision().ok());
   std::vector<uint64_t> seqs;
   int opened_count = 0;
-  b.set_message_handler([&](const net::Message& msg) {
+  b.BindQueryHandler(kTag, this, [&](const net::Message& msg) {
     seqs.push_back(msg.seq);
     if (b.OpenPayload(msg).ok()) ++opened_count;
   });
   for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(a.SendSealed(b.id(), 1, BytesFromString("m")).ok());
+    ASSERT_TRUE(a.SendSealed(b.id(), 1, BytesFromString("m"), kTag).ok());
   }
   sim_.Run();
   ASSERT_EQ(seqs.size(), 5u);
   std::sort(seqs.begin(), seqs.end());
   for (int i = 1; i < 5; ++i) EXPECT_NE(seqs[i - 1], seqs[i]);
   EXPECT_EQ(opened_count, 5);
+}
+
+// A device routes by query tag only: each query's traffic reaches its own
+// handler, and a message whose tag has no binding (tag 0 included) is
+// dropped. Unbinding is owner-checked, so a stale owner cannot remove the
+// binding that replaced it.
+TEST_F(DeviceTest, QueryTagsIsolateHandlers) {
+  Device a(&network_, &authority_, NoChurn(DeviceProfile::Pc()), "code");
+  Device b(&network_, &authority_, NoChurn(DeviceProfile::Pc()), "code");
+  ASSERT_TRUE(a.enclave().Provision().ok());
+  ASSERT_TRUE(b.enclave().Provision().ok());
+  std::vector<uint32_t> got_a, got_b, got_stale;
+  int owner_a = 0, owner_b = 0, stale = 0;
+  b.BindQueryHandler(1, &owner_a, [&](const net::Message& msg) {
+    got_a.push_back(msg.type);
+  });
+  b.BindQueryHandler(2, &stale, [&](const net::Message& msg) {
+    got_stale.push_back(msg.type);
+  });
+  // Rebinding tag 2 replaces the stale owner; its unbind is then a no-op.
+  b.BindQueryHandler(2, &owner_b, [&](const net::Message& msg) {
+    got_b.push_back(msg.type);
+  });
+  b.UnbindQueryHandler(2, &stale);
+  EXPECT_EQ(b.query_bindings(), 2u);
+
+  a.SendControl(b.id(), 10, {}, /*query_tag=*/1);
+  a.SendControl(b.id(), 20, {}, /*query_tag=*/2);
+  a.SendControl(b.id(), 30, {}, /*query_tag=*/0);
+  a.SendControl(b.id(), 40, {}, /*query_tag=*/3);
+  ASSERT_TRUE(a.SendSealed(b.id(), 50, BytesFromString("x"), 2).ok());
+  sim_.Run();
+  std::sort(got_b.begin(), got_b.end());  // latencies may reorder them
+  EXPECT_EQ(got_a, std::vector<uint32_t>{10});
+  EXPECT_EQ(got_b, (std::vector<uint32_t>{20, 50}));
+  EXPECT_TRUE(got_stale.empty());
+
+  // Once the owner unbinds, its tag is dropped like any unknown one.
+  b.UnbindQueryHandler(1, &owner_a);
+  EXPECT_EQ(b.query_bindings(), 1u);
+  a.SendControl(b.id(), 60, {}, /*query_tag=*/1);
+  sim_.Run();
+  EXPECT_EQ(got_a, std::vector<uint32_t>{10});
+  EXPECT_EQ(got_b, (std::vector<uint32_t>{20, 50}));
 }
 
 TEST_F(DeviceTest, FleetConstruction) {

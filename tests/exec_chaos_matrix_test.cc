@@ -137,8 +137,8 @@ TEST(ChaosMatrixTest, PoisonedPartialMergeRecoversThroughSparePartition) {
   ASSERT_NE(sender, nullptr);
   for (net::NodeId combiner : d->combiner_group) {
     fw.sim()->ScheduleAt(
-        sender->id(), 2 * kSecond, [sender, combiner, payload]() {
-          (void)sender->SendSealed(combiner, exec::kGsPartial, payload);
+        sender->id(), 2 * kSecond, [sender, combiner, payload, qid = msg.query_id]() {
+          (void)sender->SendSealed(combiner, exec::kGsPartial, payload, qid);
         });
   }
 

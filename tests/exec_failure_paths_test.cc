@@ -198,8 +198,9 @@ TEST(FailurePathsTest, OutOfRangeWirePartialsCannotCorruptTheResult) {
     Bytes payload = msg.Encode();
     for (net::NodeId combiner : d->combiner_group) {
       fw.sim()->ScheduleAt(
-          sender->id(), 2 * kSecond, [sender, combiner, payload]() {
-            (void)sender->SendSealed(combiner, exec::kGsPartial, payload);
+          sender->id(), 2 * kSecond, [sender, combiner, payload, qid = msg.query_id]() {
+            (void)sender->SendSealed(combiner, exec::kGsPartial, payload,
+                                     qid);
           });
     }
   };

@@ -7,6 +7,9 @@
 namespace edgelet::exec {
 namespace {
 
+// The query the replica groups under test serve; pings carry its tag.
+constexpr uint64_t kQuery = 1;
+
 // Harness: a replica group of `size` devices with rank order = creation
 // order; each device routes kLeaderPing to its ReplicaRole.
 class ReplicaTest : public ::testing::Test {
@@ -34,10 +37,10 @@ class ReplicaTest : public ::testing::Test {
       cfg.failover_timeout = 5 * kSecond;
       cfg.stop_at = stop_at;
       roles_.push_back(std::make_unique<ReplicaRole>(
-          &transport_, devices_[i].get(), cfg));
+          &transport_, devices_[i].get(), kQuery, cfg));
       device::Device* dev = devices_[i].get();
       ReplicaRole* role = roles_.back().get();
-      dev->set_message_handler([role](const net::Message& msg) {
+      dev->BindQueryHandler(kQuery, role, [role](const net::Message& msg) {
         if (msg.type != kLeaderPing) return;
         auto ping = LeaderPingMsg::Decode(msg.payload);
         if (ping.ok()) role->HandlePing(*ping);
@@ -162,7 +165,7 @@ TEST_F(ReplicaTest, DeviceAbsentFromMembersIsFlaggedMisconfigured) {
   ReplicaRole::Config cfg;
   cfg.group_id = 7;
   cfg.members = {outsider.id() + 100, outsider.id() + 101};
-  ReplicaRole role(&transport_, &outsider, cfg);
+  ReplicaRole role(&transport_, &outsider, kQuery, cfg);
   EXPECT_TRUE(role.misconfigured());
   EXPECT_FALSE(role.is_leader());
   EXPECT_EQ(role.rank(), cfg.members.size());
@@ -175,7 +178,7 @@ TEST_F(ReplicaTest, MisconfiguredRoleAbortsOnStart) {
   ReplicaRole::Config cfg;
   cfg.group_id = 7;
   cfg.members = {outsider.id() + 100};
-  ReplicaRole role(&transport_, &outsider, cfg);
+  ReplicaRole role(&transport_, &outsider, kQuery, cfg);
   ASSERT_TRUE(role.misconfigured());
   EXPECT_DEATH(role.Start(), "not a member");
 }
