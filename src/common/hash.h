@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace edgelet {
@@ -39,8 +40,10 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
 // linear probing, a power-of-two capacity (the probe start is a mask, not
 // a division) that grows at 3/4 load from a 4-slot floor. Key 0 marks an
 // empty slot; an entry under key 0 itself is kept out of line, so every
-// uint64 is a valid key. There is no per-key erase — owners Clear() the
-// whole table. Iteration order is unspecified.
+// uint64 is a valid key. Erase is backward-shift deletion: no tombstones,
+// so cyclic insert/erase traffic never degrades the probes, and once the
+// table has grown to its working set neither operation allocates.
+// Iteration order is unspecified.
 //
 // Small tables stay small: the 4-slot floor keeps the many few-entry
 // tables of a crowd-scale fleet (one per enclave, one per builder) at or
@@ -95,6 +98,41 @@ class FlatTable64 {
     bool inserted;
     FindOrInsert(key, &inserted);
     return inserted;
+  }
+
+  // Removes `key`, moving its value into `*out` first when given; false
+  // when absent. Entries that linear probing displaced past the freed slot
+  // slide back into it, so every remaining entry stays reachable from its
+  // home slot.
+  bool Erase(uint64_t key, V* out = nullptr) {
+    if (key == 0) {
+      if (!has_zero_) return false;
+      if (out != nullptr) *out = std::move(zero_value_);
+      zero_value_ = V{};
+      has_zero_ = false;
+      --size_;
+      return true;
+    }
+    if (slots_.empty()) return false;
+    size_t hole = Mix64(key) & mask_;
+    while (slots_[hole].key != key) {
+      if (slots_[hole].key == 0) return false;
+      hole = (hole + 1) & mask_;
+    }
+    if (out != nullptr) *out = std::move(slots_[hole].value);
+    for (size_t j = (hole + 1) & mask_; slots_[j].key != 0;
+         j = (j + 1) & mask_) {
+      // j's entry may fill the hole only if the hole lies on its probe
+      // path, i.e. its home slot is no nearer to j than the hole is.
+      const size_t home = Mix64(slots_[j].key) & mask_;
+      if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+        slots_[hole] = std::move(slots_[j]);
+        hole = j;
+      }
+    }
+    slots_[hole] = Slot{};
+    --size_;
+    return true;
   }
 
   // Empties the table and releases its slots.

@@ -33,7 +33,8 @@ uint64_t LocalHandle(size_t shard, ShardQueue::Ticket t) {
 // Remote handle: [63]=1 [62:56]=dest shard [55:48]=source shard
 // [47:0]=per-(source,dest) sequence. The handle doubles as the key in the
 // destination shard's remote map, so the uniqueness argument is the bit
-// layout itself — and bit 63 is why key 0 can be FlatMap64's empty slot.
+// layout itself — and bit 63 keeps every remote key apart from the 0 that
+// marks a queue entry without one.
 uint64_t RemoteHandle(size_t dest, size_t src, uint64_t rseq) {
   return kRemoteBit | (static_cast<uint64_t>(dest) << 56) |
          (static_cast<uint64_t>(src) << 48) |
@@ -252,7 +253,9 @@ void ParallelSimulator::MergeInbound(Shard& shard) {
       for (Transfer& tr : inbox) {
         ShardQueue::Ticket ticket = shard.queue.Insert(
             tr.time, tr.tiebreak, tr.owner, std::move(tr.fn), tr.remote_key);
-        shard.remote_map.Insert(tr.remote_key, PackTicket(ticket));
+        bool inserted;
+        shard.remote_map.FindOrInsert(tr.remote_key, &inserted) =
+            PackTicket(ticket);
       }
       merged += inbox.size();
       inbox.clear();

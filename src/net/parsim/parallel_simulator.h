@@ -8,8 +8,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "net/parsim/engine.h"
-#include "net/parsim/flat_map.h"
 #include "net/parsim/shard_queue.h"
 
 namespace edgelet::net::parsim {
@@ -148,7 +148,7 @@ class ParallelSimulator : public SimEngine {
     // Per-destination counters naming cross-shard events (remote handles).
     std::vector<uint64_t> rseq_out;
     // remote key -> packed local ticket, for cross-shard Cancel.
-    FlatMap64 remote_map;
+    FlatTable64<uint64_t> remote_map;
     // Head time as of this shard's last merge, the input every
     // participant's window plan is computed from. Relaxed stores/loads:
     // the barrier between merge and planning orders them.

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <unordered_map>
+#include <vector>
 
 #include "common/hash.h"
 #include "common/logging.h"
@@ -39,6 +41,116 @@ TEST(HashTest, HashCombineOrderSensitive) {
   uint64_t a = HashCombine(HashCombine(0, 1), 2);
   uint64_t b = HashCombine(HashCombine(0, 2), 1);
   EXPECT_NE(a, b);
+}
+
+// --- flat hash table ------------------------------------------------------------
+
+// Keys whose home slot is `home` in a table of `capacity` slots, in
+// increasing order, skipping key 0.
+std::vector<uint64_t> KeysWithHome(size_t home, size_t capacity, size_t n) {
+  std::vector<uint64_t> out;
+  for (uint64_t k = 1; out.size() < n; ++k) {
+    if ((Mix64(k) & (capacity - 1)) == home) out.push_back(k);
+  }
+  return out;
+}
+
+// Every key of `ref` is found with its value and no other key is present.
+void ExpectSameContents(const FlatTable64<uint64_t>& table,
+                        const std::unordered_map<uint64_t, uint64_t>& ref,
+                        const std::vector<uint64_t>& universe) {
+  ASSERT_EQ(table.size(), ref.size());
+  for (uint64_t k : universe) {
+    const uint64_t* v = table.Find(k);
+    auto it = ref.find(k);
+    if (it == ref.end()) {
+      EXPECT_EQ(v, nullptr) << "stale key " << k;
+    } else {
+      ASSERT_NE(v, nullptr) << "lost key " << k;
+      EXPECT_EQ(*v, it->second) << "key " << k;
+    }
+  }
+}
+
+// Random inserts, overwrites, erases and finds against std::unordered_map.
+// The key universe is small, so keys are erased and re-inserted many
+// times. It holds key 0 (stored out of line) and a cluster whose home is
+// the last slot of a 16-slot table: with 7 to 12 entries the table has 16
+// slots, and that cluster's probe run wraps to the front of the array.
+TEST(FlatTableTest, MatchesUnorderedMapUnderRandomOps) {
+  std::vector<uint64_t> universe = KeysWithHome(15, 16, 6);
+  for (uint64_t k : KeysWithHome(0, 16, 3)) universe.push_back(k);
+  universe.push_back(0);
+  for (uint64_t k = 1; universe.size() < 24; ++k) universe.push_back(k << 40);
+  FlatTable64<uint64_t> table;
+  std::unordered_map<uint64_t, uint64_t> ref;
+  Rng rng(99);
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t key = universe[rng.NextBelow(universe.size())];
+    switch (rng.NextBelow(3)) {
+      case 0: {
+        bool inserted;
+        table.FindOrInsert(key, &inserted) = static_cast<uint64_t>(step);
+        EXPECT_EQ(inserted, ref.count(key) == 0);
+        ref[key] = static_cast<uint64_t>(step);
+        break;
+      }
+      case 1: {
+        uint64_t out = ~uint64_t{0};
+        const bool erased = table.Erase(key, &out);
+        auto it = ref.find(key);
+        ASSERT_EQ(erased, it != ref.end()) << "key " << key;
+        if (erased) {
+          EXPECT_EQ(out, it->second);
+          ref.erase(it);
+        }
+        break;
+      }
+      default:
+        EXPECT_EQ(table.Contains(key), ref.count(key) == 1);
+    }
+    ExpectSameContents(table, ref, universe);
+  }
+}
+
+// Erasing inside a probe run that wraps the slot array keeps every later
+// entry of the run reachable, in any erase order, and erased keys can be
+// re-inserted.
+TEST(FlatTableTest, EraseInsideWrappingProbeRun) {
+  // Eight keys keep the table at 16 slots; five share home slot 15, so
+  // they occupy slots 15, 0, 1, 2, 3, and the three with home 0 are pushed
+  // behind them.
+  std::vector<uint64_t> keys = KeysWithHome(15, 16, 5);
+  for (uint64_t k : KeysWithHome(0, 16, 3)) keys.push_back(k);
+  for (size_t first = 0; first < keys.size(); ++first) {
+    FlatTable64<uint64_t> table;
+    std::unordered_map<uint64_t, uint64_t> ref;
+    bool inserted;
+    for (uint64_t k : keys) {
+      table.FindOrInsert(k, &inserted) = k * 3;
+      ref[k] = k * 3;
+    }
+    // Erase starting at `first`, wrapping around the key list, then put
+    // every key back.
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const uint64_t k = keys[(first + i) % keys.size()];
+      ASSERT_TRUE(table.Erase(k));
+      EXPECT_FALSE(table.Erase(k));
+      ref.erase(k);
+      ExpectSameContents(table, ref, keys);
+    }
+    for (uint64_t k : keys) {
+      table.FindOrInsert(k, &inserted) = k * 3;
+      EXPECT_TRUE(inserted);
+      ref[k] = k * 3;
+    }
+    ExpectSameContents(table, ref, keys);
+  }
+  FlatSet64 set;
+  EXPECT_FALSE(set.Erase(0));
+  EXPECT_TRUE(set.Insert(0));
+  EXPECT_TRUE(set.Erase(0));
+  EXPECT_EQ(set.size(), 0u);
 }
 
 // --- sim time ------------------------------------------------------------------
