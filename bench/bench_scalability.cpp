@@ -13,11 +13,12 @@
 //     fingerprint is identical for every engine (the parsim determinism
 //     contract, at bench scale).
 //  3. Cohort exec sweep: the same --devices N but as *contributor members*
-//     folded --cohort K to a device (exec::CohortActor), running the full
-//     Grouping Sets pipeline end to end on every --shards count. Asserts
-//     bit-identical ReportFingerprints across shard counts, and records
-//     events/sec, wall ms, and process peak RSS — the 1M+ member
-//     configuration whose memory is O(operators + cohorts).
+//     folded --cohort K to a device (one exec::ContributorActor per device
+//     hosts its K members), running the full Grouping Sets pipeline end to
+//     end on every --shards count. Asserts bit-identical ReportFingerprints
+//     across shard counts, and records events/sec, wall ms, and process
+//     peak RSS — the 1M+ member configuration whose memory is
+//     O(operators + cohorts).
 //
 // Phases 2 and 3 write events/sec, wall-ms, and speedup-vs-1-shard trend
 // lines into the JSON artifact. --baseline PATH records those events/sec
