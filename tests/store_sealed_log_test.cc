@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <string>
 
@@ -264,8 +266,11 @@ TEST_F(SealedLogTest, FaultScheduleIsDeterministicPerOwner) {
 
 TEST_F(SealedLogTest, FileMediumSurvivesProcessRestart) {
   tee::Enclave enclave = MakeEnclave(5);
-  const std::string path =
-      ::testing::TempDir() + "/sealed_log_file_medium_test.log";
+  // Per process: the plain, ASan and TSan builds of this test run in
+  // parallel under ctest -j and must not share the file.
+  const std::string path = ::testing::TempDir() +
+                           "/sealed_log_file_medium_test." +
+                           std::to_string(getpid()) + ".log";
   std::remove(path.c_str());
   {
     FileMedium medium(path);
