@@ -5,6 +5,10 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/status.h"
@@ -142,6 +146,147 @@ class Reader {
   size_t len_;
   size_t pos_ = 0;
 };
+
+
+// --- Field-list codec --------------------------------------------------------
+//
+// A wire or disk record states its layout once, as a field list:
+//
+//   template <typename M>
+//   static auto Fields(M& m) { return std::tie(m.query_id, m.role, ...); }
+//
+// and wire::Encode / wire::Decode derive both directions from it. Each
+// field type has one encoding:
+//
+//   uint32_t, uint64_t   fixed width, little-endian
+//   bool                 one byte, 0 or 1
+//   wire enum            one byte, rejected above WireLastTag(E{}), a
+//                        constexpr function declared next to the enum
+//   Bytes                varint length, then the bytes
+//   std::vector<T>       varint count (CheckCount), then each element
+//   record with Fields   its fields in order
+//   any other type       its own Serialize(Writer*) / Deserialize(Reader*)
+//
+// Every decode failure is Corruption. Trailing bytes are not an error.
+namespace wire {
+
+template <typename T>
+concept Record = requires(T& m) { T::Fields(m); };
+
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename T, typename A>
+inline constexpr bool kIsVector<std::vector<T, A>> = true;
+
+template <typename T>
+void Put(Writer* w, const T& v);
+
+template <typename... F>
+void PutFields(Writer* w, const std::tuple<F...>& fields) {
+  std::apply([w](const auto&... f) { (Put(w, f), ...); }, fields);
+}
+
+template <typename T>
+void Put(Writer* w, const T& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    w->PutBool(v);
+  } else if constexpr (std::is_same_v<T, uint32_t>) {
+    w->PutU32(v);
+  } else if constexpr (std::is_same_v<T, uint64_t>) {
+    w->PutU64(v);
+  } else if constexpr (std::is_enum_v<T>) {
+    static_assert(std::is_same_v<std::underlying_type_t<T>, uint8_t>);
+    w->PutU8(static_cast<uint8_t>(v));
+  } else if constexpr (std::is_same_v<T, Bytes>) {
+    w->PutBytes(v);
+  } else if constexpr (kIsVector<T>) {
+    w->PutVarint(v.size());
+    for (const auto& e : v) Put(w, e);
+  } else if constexpr (Record<T>) {
+    PutFields(w, T::Fields(v));
+  } else {
+    v.Serialize(w);
+  }
+}
+
+namespace internal {
+
+template <typename T>
+Status Assign(Result<T> got, T* out) {
+  if (!got.ok()) return got.status();
+  *out = std::move(*got);
+  return Status::OK();
+}
+
+template <typename T>
+Status GetField(Reader* r, T* out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    return Assign(r->GetBool(), out);
+  } else if constexpr (std::is_same_v<T, uint32_t>) {
+    return Assign(r->GetU32(), out);
+  } else if constexpr (std::is_same_v<T, uint64_t>) {
+    return Assign(r->GetU64(), out);
+  } else if constexpr (std::is_enum_v<T>) {
+    auto tag = r->GetU8();
+    if (!tag.ok()) return tag.status();
+    if (*tag > static_cast<uint8_t>(WireLastTag(T{}))) {
+      return Status::Corruption("enum tag " + std::to_string(*tag) +
+                                " out of range");
+    }
+    *out = static_cast<T>(*tag);
+    return Status::OK();
+  } else if constexpr (std::is_same_v<T, Bytes>) {
+    return Assign(r->GetBytes(), out);
+  } else if constexpr (kIsVector<T>) {
+    auto n = r->GetVarint();
+    if (!n.ok()) return n.status();
+    EDGELET_RETURN_NOT_OK(r->CheckCount(*n));
+    out->clear();
+    out->reserve(*n);
+    for (uint64_t i = 0; i < *n; ++i) {
+      EDGELET_RETURN_NOT_OK(GetField(r, &out->emplace_back()));
+    }
+    return Status::OK();
+  } else if constexpr (Record<T>) {
+    Status st;
+    std::apply([&](auto&... f) { ((st = GetField(r, &f)).ok() && ...); },
+               T::Fields(*out));
+    return st;
+  } else {
+    return Assign(T::Deserialize(r), out);
+  }
+}
+
+}  // namespace internal
+
+template <typename T>
+Status Get(Reader* r, T* out) {
+  Status st = internal::GetField(r, out);
+  if (st.ok() || st.code() == StatusCode::kCorruption) return st;
+  return Status::Corruption(st.message());
+}
+
+template <typename T>
+Result<T> Read(Reader* r) {
+  T out;
+  EDGELET_RETURN_NOT_OK(Get(r, &out));
+  return out;
+}
+
+template <Record T>
+Bytes Encode(const T& m) {
+  Writer w;
+  Put(&w, m);
+  return w.Take();
+}
+
+template <Record T>
+Result<T> Decode(const Bytes& b) {
+  Reader r(b);
+  return Read<T>(&r);
+}
+
+}  // namespace wire
 
 }  // namespace edgelet
 

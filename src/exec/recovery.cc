@@ -6,44 +6,6 @@
 
 namespace edgelet::exec {
 
-Bytes CheckpointRecord::Encode() const {
-  Writer w;
-  w.PutU8(static_cast<uint8_t>(kind));
-  w.PutU32(partition);
-  w.PutU32(vgroup);
-  w.PutU32(epoch);
-  w.PutU64(incarnation);
-  w.PutBytes(state);
-  return w.Take();
-}
-
-Result<CheckpointRecord> CheckpointRecord::Decode(const Bytes& b) {
-  Reader r(b);
-  CheckpointRecord rec;
-  auto kind = r.GetU8();
-  if (!kind.ok()) return kind.status();
-  if (*kind > static_cast<uint8_t>(OperatorKind::kCombiner)) {
-    return Status::InvalidArgument("bad checkpoint kind");
-  }
-  rec.kind = static_cast<OperatorKind>(*kind);
-  auto partition = r.GetU32();
-  if (!partition.ok()) return partition.status();
-  rec.partition = *partition;
-  auto vgroup = r.GetU32();
-  if (!vgroup.ok()) return vgroup.status();
-  rec.vgroup = *vgroup;
-  auto epoch = r.GetU32();
-  if (!epoch.ok()) return epoch.status();
-  rec.epoch = *epoch;
-  auto incarnation = r.GetU64();
-  if (!incarnation.ok()) return incarnation.status();
-  rec.incarnation = *incarnation;
-  auto state = r.GetBytes();
-  if (!state.ok()) return state.status();
-  rec.state = std::move(*state);
-  return rec;
-}
-
 RecoveryHost::RecoveryHost(net::Transport* net, device::Device* dev,
                            Config config,
                            std::unique_ptr<store::StableMedium> medium)

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <tuple>
 
 #include "exec/actor.h"
 #include "store/device_store.h"
@@ -41,6 +42,10 @@ enum class OperatorKind : uint8_t {
   kComputer = 1,
   kCombiner = 2,
 };
+// The last valid tag: the wire codec rejects any above it.
+constexpr OperatorKind WireLastTag(OperatorKind) {
+  return OperatorKind::kCombiner;
+}
 
 // The envelope persisted per checkpoint: enough to validate on replay that
 // the record belongs to this device's role and to carry the last durable
@@ -53,8 +58,15 @@ struct CheckpointRecord {
   uint64_t incarnation = 0;  // boot epoch that wrote the record
   Bytes state;               // the actor's SerializeState payload
 
-  Bytes Encode() const;
-  static Result<CheckpointRecord> Decode(const Bytes& b);
+  template <typename M>
+  static auto Fields(M& m) {
+    return std::tie(m.kind, m.partition, m.vgroup, m.epoch, m.incarnation,
+                    m.state);
+  }
+  Bytes Encode() const { return wire::Encode(*this); }
+  static Result<CheckpointRecord> Decode(const Bytes& b) {
+    return wire::Decode<CheckpointRecord>(b);
+  }
 };
 
 // Owns one operator device's sealed store and its crash-recovery protocol

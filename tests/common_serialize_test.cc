@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "common/bytes.h"
 
@@ -132,6 +135,96 @@ TEST(SerializeTest, DoubleSpecialValues) {
   double neg_zero = *r.GetDouble();
   EXPECT_EQ(neg_zero, 0.0);
   EXPECT_TRUE(std::signbit(neg_zero));
+}
+
+// --- Field-list codec --------------------------------------------------------
+
+enum class Shade : uint8_t { kLight = 0, kDark = 1 };
+constexpr Shade WireLastTag(Shade) { return Shade::kDark; }
+
+// A leaf with its own Serialize/Deserialize.
+struct Label {
+  std::string text;
+  void Serialize(Writer* w) const { w->PutString(text); }
+  static Result<Label> Deserialize(Reader* r) {
+    auto t = r->GetString();
+    if (!t.ok()) return t.status();
+    return Label{std::move(*t)};
+  }
+  bool operator==(const Label&) const = default;
+};
+
+struct Inner {
+  uint32_t a = 0;
+  Shade shade = Shade::kLight;
+  template <typename M>
+  static auto Fields(M& m) { return std::tie(m.a, m.shade); }
+  bool operator==(const Inner&) const = default;
+};
+
+struct Outer {
+  uint64_t id = 0;
+  bool flag = false;
+  Bytes blob;
+  std::vector<Inner> inners;
+  std::vector<std::vector<uint32_t>> nested;
+  Label label;
+  template <typename M>
+  static auto Fields(M& m) {
+    return std::tie(m.id, m.flag, m.blob, m.inners, m.nested, m.label);
+  }
+  bool operator==(const Outer&) const = default;
+};
+
+Outer SampleOuter() {
+  return {0x0102030405060708ULL, true, {0xAA, 0xBB},
+          {{7, Shade::kDark}, {8, Shade::kLight}}, {{1, 2}, {}}, {"hi"}};
+}
+
+TEST(WireCodecTest, OneEncodingPerFieldType) {
+  Writer expected;
+  expected.PutU64(0x0102030405060708ULL);
+  expected.PutBool(true);
+  expected.PutBytes({0xAA, 0xBB});
+  expected.PutVarint(2);
+  expected.PutU32(7);
+  expected.PutU8(1);
+  expected.PutU32(8);
+  expected.PutU8(0);
+  expected.PutVarint(2);
+  expected.PutVarint(2);
+  expected.PutU32(1);
+  expected.PutU32(2);
+  expected.PutVarint(0);
+  expected.PutString("hi");
+  EXPECT_EQ(wire::Encode(SampleOuter()), expected.data());
+
+  auto back = wire::Decode<Outer>(expected.data());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, SampleOuter());
+}
+
+TEST(WireCodecTest, EveryDecodeFailureIsCorruption) {
+  const Bytes full = wire::Encode(SampleOuter());
+  for (size_t cut = 0; cut < full.size(); ++cut) {
+    auto r = wire::Decode<Outer>(Bytes(full.begin(), full.begin() + cut));
+    ASSERT_FALSE(r.ok()) << cut;
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption) << cut;
+  }
+
+  Bytes bad_tag = wire::Encode(Inner{1, Shade::kDark});
+  bad_tag[4] = 2;
+  EXPECT_EQ(wire::Decode<Inner>(bad_tag).status().code(),
+            StatusCode::kCorruption);
+
+  Writer hostile;
+  hostile.PutU64(1);
+  hostile.PutBool(false);
+  hostile.PutBytes({});
+  hostile.PutVarint(uint64_t{1} << 40);  // inners
+  hostile.PutU32(0);
+  EXPECT_EQ(wire::Decode<Outer>(hostile.data()).status().code(),
+            StatusCode::kCorruption);
 }
 
 TEST(BytesTest, HexRoundTrip) {
