@@ -60,29 +60,6 @@ std::string Predicate::ToString() const {
               : literal.ToString());
 }
 
-void Predicate::Serialize(Writer* w) const {
-  w->PutString(column);
-  w->PutU8(static_cast<uint8_t>(op));
-  literal.Serialize(w);
-}
-
-Result<Predicate> Predicate::Deserialize(Reader* r) {
-  Predicate p;
-  auto column = r->GetString();
-  if (!column.ok()) return column.status();
-  p.column = std::move(*column);
-  auto op = r->GetU8();
-  if (!op.ok()) return op.status();
-  if (*op > static_cast<uint8_t>(CompareOp::kGe)) {
-    return Status::Corruption("bad compare op tag");
-  }
-  p.op = static_cast<CompareOp>(*op);
-  auto lit = data::Value::Deserialize(r);
-  if (!lit.ok()) return lit.status();
-  p.literal = std::move(*lit);
-  return p;
-}
-
 Result<data::Table> ApplyPredicates(const data::Table& table,
                                     const std::vector<Predicate>& predicates) {
   data::Table out(table.schema());

@@ -33,9 +33,6 @@ struct Predicate {
                         const data::Schema& schema) const;
 
   std::string ToString() const;
-
-  void Serialize(Writer* w) const;
-  static Result<Predicate> Deserialize(Reader* r);
 };
 
 // Conjunction of predicates applied to a table.

@@ -24,45 +24,6 @@ std::string_view QueryKindName(QueryKind kind) {
   return "?";
 }
 
-void KMeansQuerySpec::Serialize(Writer* w) const {
-  w->PutVarintSigned(k);
-  w->PutVarint(features.size());
-  for (const auto& f : features) w->PutString(f);
-  w->PutVarintSigned(local_iterations);
-  w->PutVarintSigned(batch_size);
-  w->PutVarint(cluster_aggregates.size());
-  for (const auto& a : cluster_aggregates) a.Serialize(w);
-}
-
-Result<KMeansQuerySpec> KMeansQuerySpec::Deserialize(Reader* r) {
-  KMeansQuerySpec spec;
-  auto k = r->GetVarintSigned();
-  if (!k.ok()) return k.status();
-  spec.k = static_cast<int>(*k);
-  auto nf = r->GetVarint();
-  if (!nf.ok()) return nf.status();
-  spec.features.clear();
-  for (uint64_t i = 0; i < *nf; ++i) {
-    auto f = r->GetString();
-    if (!f.ok()) return f.status();
-    spec.features.push_back(std::move(*f));
-  }
-  auto li = r->GetVarintSigned();
-  if (!li.ok()) return li.status();
-  spec.local_iterations = static_cast<int>(*li);
-  auto bs = r->GetVarintSigned();
-  if (!bs.ok()) return bs.status();
-  spec.batch_size = *bs;
-  auto na = r->GetVarint();
-  if (!na.ok()) return na.status();
-  for (uint64_t i = 0; i < *na; ++i) {
-    auto a = AggregateSpec::Deserialize(r);
-    if (!a.ok()) return a.status();
-    spec.cluster_aggregates.push_back(std::move(*a));
-  }
-  return spec;
-}
-
 std::vector<std::string> Query::RequiredColumns() const {
   std::vector<std::string> out;
   if (kind == QueryKind::kGroupingSets) {
@@ -118,50 +79,6 @@ Status Query::Validate(const data::Schema& schema) const {
     }
   }
   return Status::OK();
-}
-
-void Query::Serialize(Writer* w) const {
-  w->PutU64(query_id);
-  w->PutString(name);
-  w->PutU8(static_cast<uint8_t>(kind));
-  w->PutVarint(predicates.size());
-  for (const auto& p : predicates) p.Serialize(w);
-  w->PutU64(snapshot_cardinality);
-  grouping_sets.Serialize(w);
-  kmeans.Serialize(w);
-}
-
-Result<Query> Query::Deserialize(Reader* r) {
-  Query q;
-  auto id = r->GetU64();
-  if (!id.ok()) return id.status();
-  q.query_id = *id;
-  auto name = r->GetString();
-  if (!name.ok()) return name.status();
-  q.name = std::move(*name);
-  auto kind = r->GetU8();
-  if (!kind.ok()) return kind.status();
-  if (*kind > static_cast<uint8_t>(QueryKind::kKMeans)) {
-    return Status::Corruption("bad query kind tag");
-  }
-  q.kind = static_cast<QueryKind>(*kind);
-  auto np = r->GetVarint();
-  if (!np.ok()) return np.status();
-  for (uint64_t i = 0; i < *np; ++i) {
-    auto p = Predicate::Deserialize(r);
-    if (!p.ok()) return p.status();
-    q.predicates.push_back(std::move(*p));
-  }
-  auto c = r->GetU64();
-  if (!c.ok()) return c.status();
-  q.snapshot_cardinality = *c;
-  auto gs = GroupingSetsSpec::Deserialize(r);
-  if (!gs.ok()) return gs.status();
-  q.grouping_sets = std::move(*gs);
-  auto km = KMeansQuerySpec::Deserialize(r);
-  if (!km.ok()) return km.status();
-  q.kmeans = std::move(*km);
-  return q;
 }
 
 }  // namespace edgelet::query

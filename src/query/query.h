@@ -38,8 +38,6 @@ struct KMeansQuerySpec {
   // clusters" of demo query ii). Always includes COUNT implicitly.
   std::vector<AggregateSpec> cluster_aggregates;
 
-  void Serialize(Writer* w) const;
-  static Result<KMeansQuerySpec> Deserialize(Reader* r);
   bool operator==(const KMeansQuerySpec& other) const {
     return k == other.k && features == other.features &&
            local_iterations == other.local_iterations &&
@@ -73,9 +71,6 @@ struct Query {
 
   // Structural validation against the shared schema.
   Status Validate(const data::Schema& schema) const;
-
-  void Serialize(Writer* w) const;
-  static Result<Query> Deserialize(Reader* r);
 };
 
 }  // namespace edgelet::query

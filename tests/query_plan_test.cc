@@ -83,16 +83,6 @@ TEST(PredicateTest, ApplyConjunction) {
   }
 }
 
-TEST(PredicateTest, SerializationRoundTrip) {
-  Predicate p{"age", CompareOp::kGe, Value(int64_t{65})};
-  Writer w;
-  p.Serialize(&w);
-  Reader r(w.data());
-  auto back = Predicate::Deserialize(&r);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->ToString(), p.ToString());
-}
-
 TEST(PredicateTest, ToStringReadable) {
   Predicate p{"age", CompareOp::kGt, Value(int64_t{65})};
   EXPECT_EQ(p.ToString(), "age > 65");
@@ -162,22 +152,6 @@ TEST(QueryTest, ValidateAgainstSchema) {
   Query bad5 = DemoGroupingSetsQuery();
   bad5.grouping_sets.aggregates.clear();
   EXPECT_FALSE(bad5.Validate(schema).ok());
-}
-
-TEST(QueryTest, SerializationRoundTrip) {
-  for (const Query& q : {DemoGroupingSetsQuery(), DemoKMeansQuery()}) {
-    Writer w;
-    q.Serialize(&w);
-    Reader r(w.data());
-    auto back = Query::Deserialize(&r);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(back->name, q.name);
-    EXPECT_EQ(back->kind, q.kind);
-    EXPECT_EQ(back->snapshot_cardinality, q.snapshot_cardinality);
-    EXPECT_EQ(back->grouping_sets, q.grouping_sets);
-    EXPECT_EQ(back->kmeans, q.kmeans);
-    EXPECT_EQ(back->predicates.size(), q.predicates.size());
-  }
 }
 
 // --- QEP ---------------------------------------------------------------------
