@@ -43,7 +43,7 @@ class Value {
   // Numeric widening: int64 or double -> double. Fails on string/null.
   Result<double> ToDouble() const;
 
-  // Renders for CSV / reports ("" for NULL).
+  // Renders for reports ("" for NULL).
   std::string ToString() const;
 
   void Serialize(Writer* w) const;

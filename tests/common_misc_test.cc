@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <unordered_map>
 #include <vector>
 
@@ -8,8 +7,7 @@
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
-#include "data/csv.h"
-#include "data/generator.h"
+#include "data/table.h"
 
 namespace edgelet {
 namespace {
@@ -193,32 +191,6 @@ TEST(LoggingTest, SetGetRoundTrip) {
   SetLogLevel(LogLevel::kInfo);
   EXPECT_EQ(GetLogLevel(), LogLevel::kInfo);
   SetLogLevel(old_level);
-}
-
-// --- CSV file I/O ----------------------------------------------------------------
-
-TEST(CsvFileTest, WriteReadRoundTrip) {
-  data::HealthDataParams params;
-  params.num_individuals = 40;
-  data::Table table = data::GenerateHealthData(params, 17);
-  std::string path = ::testing::TempDir() + "/edgelet_csv_test.csv";
-  ASSERT_TRUE(data::WriteCsvFile(path, table).ok());
-  auto back = data::ReadCsvFile(path, table.schema());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->num_rows(), table.num_rows());
-  // Doubles survive the %.6g round-trip approximately.
-  for (size_t i = 0; i < table.num_rows(); ++i) {
-    EXPECT_EQ(back->row(i)[0], table.row(i)[0]);  // contributor_id
-    EXPECT_NEAR(back->row(i)[4].AsDouble(), table.row(i)[4].AsDouble(),
-                1e-4);  // bmi
-  }
-  std::remove(path.c_str());
-}
-
-TEST(CsvFileTest, MissingFileFails) {
-  auto r = data::ReadCsvFile("/nonexistent/nope.csv", data::HealthSchema());
-  EXPECT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
 }
 
 // --- randomized serialization property sweep --------------------------------------

@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "data/csv.h"
 #include "data/partition.h"
 #include "data/schema.h"
 #include "data/table.h"
@@ -254,49 +253,6 @@ TEST(TableTest, AppendSerializedRowsCapsAndKeepsTableOnError) {
   Reader bad(cut);
   EXPECT_FALSE(t.AppendSerializedRows(&bad).ok());
   EXPECT_EQ(t.num_rows(), 2u);
-}
-
-// --- CSV ----------------------------------------------------------------------
-
-TEST(CsvTest, RoundTrip) {
-  Table t = TestTable();
-  std::string csv = TableToCsv(t);
-  auto back = TableFromCsv(csv, t.schema());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->num_rows(), 3u);
-  EXPECT_EQ(back->row(0)[1].AsString(), "alice");
-  EXPECT_DOUBLE_EQ(back->row(1)[2].AsDouble(), 7.25);
-}
-
-TEST(CsvTest, QuotedFields) {
-  Table t(Schema({{"s", ValueType::kString}}));
-  ASSERT_TRUE(t.Append({Value("has,comma")}).ok());
-  ASSERT_TRUE(t.Append({Value("has\"quote")}).ok());
-  ASSERT_TRUE(t.Append({Value("has\nnewline")}).ok());
-  std::string csv = TableToCsv(t);
-  auto back = TableFromCsv(csv, t.schema());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_EQ(back->row(0)[0].AsString(), "has,comma");
-  EXPECT_EQ(back->row(1)[0].AsString(), "has\"quote");
-  EXPECT_EQ(back->row(2)[0].AsString(), "has\nnewline");
-}
-
-TEST(CsvTest, NullsAsEmptyFields) {
-  Table t(TestSchema());
-  ASSERT_TRUE(t.Append({Value::Null(), Value("x"), Value::Null()}).ok());
-  auto back = TableFromCsv(TableToCsv(t), t.schema());
-  ASSERT_TRUE(back.ok());
-  EXPECT_TRUE(back->row(0)[0].is_null());
-  EXPECT_TRUE(back->row(0)[2].is_null());
-}
-
-TEST(CsvTest, HeaderMismatchRejected) {
-  EXPECT_FALSE(TableFromCsv("a,b\n1,2\n", TestSchema()).ok());
-}
-
-TEST(CsvTest, BadNumericRejected) {
-  Schema s({{"id", ValueType::kInt64}});
-  EXPECT_FALSE(TableFromCsv("id\nnot_a_number\n", s).ok());
 }
 
 // --- Partitioning ----------------------------------------------------------------
