@@ -174,7 +174,8 @@ BENCHMARK(BM_TableDeserialize)->Arg(10)->Arg(100)->Arg(1000);
 void BM_GroupByCompute(benchmark::State& state) {
   data::HealthDataParams params;
   params.num_individuals = state.range(0);
-  data::Table table = data::GenerateHealthData(params, 1);
+  const data::TableView table(std::make_shared<const data::ColumnTable>(
+      data::GenerateHealthColumns(params, 1)));
   query::GroupBySpec spec{
       {"region", "sex"},
       {{query::AggregateFunction::kCount, "*"},
@@ -190,7 +191,8 @@ BENCHMARK(BM_GroupByCompute)->Arg(100)->Arg(1000)->Arg(10000);
 void BM_GroupByMerge(benchmark::State& state) {
   data::HealthDataParams params;
   params.num_individuals = 1000;
-  data::Table table = data::GenerateHealthData(params, 1);
+  const data::TableView table(std::make_shared<const data::ColumnTable>(
+      data::GenerateHealthColumns(params, 1)));
   query::GroupBySpec spec{
       {"region", "sex"},
       {{query::AggregateFunction::kCount, "*"},
@@ -305,21 +307,6 @@ void BM_VarintEncode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * values.size());
 }
 BENCHMARK(BM_VarintEncode);
-
-void BM_TableConcatMove(benchmark::State& state) {
-  data::HealthDataParams params;
-  params.num_individuals = state.range(0);
-  data::Table source = data::GenerateHealthData(params, 1);
-  for (auto _ : state) {
-    state.PauseTiming();
-    data::Table chunk = source;  // fresh copy to steal from
-    data::Table sink(source.schema());
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(sink.Concat(std::move(chunk)));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_TableConcatMove)->Arg(1000);
 
 void BM_LloydStep(benchmark::State& state) {
   Rng rng(1);

@@ -1,58 +1,11 @@
 #include "data/partition.h"
 
-#include <algorithm>
-
 #include "common/hash.h"
 
 namespace edgelet::data {
 
 uint32_t PartitionForKey(uint64_t contributor_key, uint32_t num_partitions) {
   return static_cast<uint32_t>(Mix64(contributor_key) % num_partitions);
-}
-
-Result<std::vector<Table>> PartitionByHash(const Table& table,
-                                           std::string_view key_column,
-                                           uint32_t num_partitions) {
-  if (num_partitions == 0) {
-    return Status::InvalidArgument("num_partitions must be > 0");
-  }
-  auto idx = table.schema().IndexOf(key_column);
-  if (!idx.ok()) return idx.status();
-  if (table.schema().column(*idx).type != ValueType::kInt64) {
-    return Status::InvalidArgument("partition key column must be INT64");
-  }
-  std::vector<Table> out;
-  out.reserve(num_partitions);
-  for (uint32_t i = 0; i < num_partitions; ++i) {
-    out.emplace_back(table.schema());
-  }
-  for (const auto& row : table.rows()) {
-    if (row[*idx].is_null()) {
-      return Status::InvalidArgument("NULL partition key");
-    }
-    uint64_t key = static_cast<uint64_t>(row[*idx].AsInt64());
-    out[PartitionForKey(key, num_partitions)].AppendUnchecked(row);
-  }
-  return out;
-}
-
-Result<std::vector<Table>> PartitionVertically(
-    const Table& table, const std::vector<std::vector<std::string>>& groups,
-    const std::vector<std::string>& always_include) {
-  std::vector<Table> out;
-  out.reserve(groups.size());
-  for (const auto& group : groups) {
-    std::vector<std::string> columns = always_include;
-    for (const auto& col : group) {
-      if (std::find(columns.begin(), columns.end(), col) == columns.end()) {
-        columns.push_back(col);
-      }
-    }
-    auto projected = table.Project(columns);
-    if (!projected.ok()) return projected.status();
-    out.push_back(std::move(*projected));
-  }
-  return out;
 }
 
 }  // namespace edgelet::data

@@ -2,9 +2,6 @@
 #define EDGELET_DATA_PARTITION_H_
 
 #include <cstdint>
-#include <vector>
-
-#include "data/table.h"
 
 namespace edgelet::data {
 
@@ -16,19 +13,6 @@ namespace edgelet::data {
 //
 // Returns the partition index in [0, num_partitions) for a contributor key.
 uint32_t PartitionForKey(uint64_t contributor_key, uint32_t num_partitions);
-
-// Splits `table` into `num_partitions` tables keyed on the INT64 column
-// `key_column`. Every output table shares the input schema.
-Result<std::vector<Table>> PartitionByHash(const Table& table,
-                                           std::string_view key_column,
-                                           uint32_t num_partitions);
-
-// Vertical partitioning: one projection per attribute group. Each group
-// must be a subset of the schema. `always_include` columns (e.g. the
-// grouping keys) are prepended to every group if not already present.
-Result<std::vector<Table>> PartitionVertically(
-    const Table& table, const std::vector<std::vector<std::string>>& groups,
-    const std::vector<std::string>& always_include);
 
 }  // namespace edgelet::data
 

@@ -31,61 +31,6 @@ Result<Value> Table::At(size_t row_index, std::string_view column) const {
   return rows_[row_index][*idx];
 }
 
-Result<Table> Table::Project(const std::vector<std::string>& columns) const {
-  auto sub_schema = schema_.Project(columns);
-  if (!sub_schema.ok()) return sub_schema.status();
-  std::vector<size_t> indices;
-  indices.reserve(columns.size());
-  for (const auto& c : columns) {
-    auto idx = schema_.IndexOf(c);
-    if (!idx.ok()) return idx.status();
-    indices.push_back(*idx);
-  }
-  Table out(std::move(*sub_schema));
-  out.Reserve(rows_.size());
-  for (const auto& r : rows_) {
-    Tuple t;
-    t.reserve(indices.size());
-    for (size_t i : indices) t.push_back(r[i]);
-    out.AppendUnchecked(std::move(t));
-  }
-  return out;
-}
-
-Table Table::Filter(const std::function<bool(const Tuple&)>& pred) const {
-  Table out(schema_);
-  for (const auto& r : rows_) {
-    if (pred(r)) out.AppendUnchecked(r);
-  }
-  return out;
-}
-
-Status Table::Concat(const Table& other) {
-  if (!(schema_ == other.schema_)) {
-    return Status::InvalidArgument("cannot concat tables: schema mismatch " +
-                                   schema_.ToString() + " vs " +
-                                   other.schema_.ToString());
-  }
-  rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
-  return Status::OK();
-}
-
-Status Table::Concat(Table&& other) {
-  if (!(schema_ == other.schema_)) {
-    return Status::InvalidArgument("cannot concat tables: schema mismatch " +
-                                   schema_.ToString() + " vs " +
-                                   other.schema_.ToString());
-  }
-  if (rows_.empty()) {
-    rows_ = std::move(other.rows_);
-  } else {
-    rows_.insert(rows_.end(), std::make_move_iterator(other.rows_.begin()),
-                 std::make_move_iterator(other.rows_.end()));
-  }
-  other.rows_.clear();
-  return Status::OK();
-}
-
 void Table::SortRows() {
   std::sort(rows_.begin(), rows_.end(), [](const Tuple& a, const Tuple& b) {
     for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
@@ -94,20 +39,6 @@ void Table::SortRows() {
     }
     return a.size() < b.size();
   });
-}
-
-Result<std::vector<double>> Table::NumericColumn(
-    std::string_view column) const {
-  auto idx = schema_.IndexOf(column);
-  if (!idx.ok()) return idx.status();
-  std::vector<double> out;
-  out.reserve(rows_.size());
-  for (const auto& r : rows_) {
-    auto d = r[*idx].ToDouble();
-    if (!d.ok()) return d.status();
-    out.push_back(*d);
-  }
-  return out;
 }
 
 void Table::Serialize(Writer* w) const {
@@ -122,35 +53,24 @@ Result<Table> Table::Deserialize(Reader* r) {
   auto schema = Schema::Deserialize(r);
   if (!schema.ok()) return schema.status();
   Table out(std::move(*schema));
-  auto n = out.AppendSerializedRows(r);
-  if (!n.ok()) return n.status();
-  return out;
-}
-
-Result<uint64_t> Table::AppendSerializedRows(Reader* r, uint64_t max_append) {
   auto n = r->GetVarint();
   if (!n.ok()) return n.status();
-  const size_t arity = schema_.num_columns();
+  const size_t arity = out.schema_.num_columns();
   // Every cell costs at least its tag byte; a zero-column row is charged
   // one byte too, so even an empty schema cannot loop on a hostile count.
   EDGELET_RETURN_NOT_OK(r->CheckCount(*n, arity > 0 ? arity : 1));
-  const size_t old_rows = rows_.size();
-  const uint64_t keep = std::min(*n, max_append);
-  if (old_rows == 0) rows_.reserve(keep);
+  out.rows_.reserve(*n);
   for (uint64_t i = 0; i < *n; ++i) {
     Tuple t;
     t.reserve(arity);
     for (size_t c = 0; c < arity; ++c) {
       auto v = Value::Deserialize(r);
-      if (!v.ok()) {
-        rows_.resize(old_rows);
-        return v.status();
-      }
+      if (!v.ok()) return v.status();
       t.push_back(std::move(*v));
     }
-    if (i < keep) rows_.push_back(std::move(t));
+    out.rows_.push_back(std::move(t));
   }
-  return *n;
+  return out;
 }
 
 std::string Table::ToString(size_t max_rows) const {

@@ -1,7 +1,6 @@
 #ifndef EDGELET_DATA_TABLE_H_
 #define EDGELET_DATA_TABLE_H_
 
-#include <functional>
 #include <vector>
 
 #include "data/schema.h"
@@ -11,13 +10,14 @@ namespace edgelet::data {
 
 using Tuple = std::vector<Value>;
 
-// Row-oriented in-memory relation: the engine's *boundary* format. Wire
-// messages, per-operator partitions, and aggregation outputs are small
-// (C/n tuples, typically hundreds), so a simple row store is the right
-// representation there. Bulk population data lives in the columnar
-// ColumnTable (data/column_table.h) and is read through TableViews; rows
-// are materialized from it lazily, at the device/wire boundary only —
-// the engine never holds the full crowd dataset as tuples.
+// Row-oriented relation of Value tuples. The engine works on columns
+// (ColumnTable / TableView, data/column_table.h); a row Table is kept for
+// the places where rows are the natural shape: query results and reports
+// (aggregation Finalize, the combiner's result, FinalResultMsg), the
+// ContributionMsg reference that the columnar contribution encoder is
+// pinned against, and the row predicate evaluator that the compiled scan
+// is tested against. Its Serialize is the wire format of every table on
+// the wire, columnar ones included.
 class Table {
  public:
   Table() = default;
@@ -43,37 +43,13 @@ class Table {
   // Value of the named column in row i.
   Result<Value> At(size_t row_index, std::string_view column) const;
 
-  // New table with only the named columns, in order.
-  Result<Table> Project(const std::vector<std::string>& columns) const;
-
-  // New table with rows satisfying `pred`.
-  Table Filter(const std::function<bool(const Tuple&)>& pred) const;
-
-  // Appends all rows of `other`; schemas must match exactly.
-  Status Concat(const Table& other);
-  // Move-append: steals `other`'s rows (leaving it empty) instead of
-  // copying every tuple. The fast path when the receiver is still empty is
-  // a plain vector move.
-  Status Concat(Table&& other);
-
   // Deterministic order: sorts rows lexicographically by value. Used to
   // compare distributed and centralized results independent of arrival
   // order.
   void SortRows();
 
-  // Column as doubles (int64 widened); fails on strings/NULL.
-  Result<std::vector<double>> NumericColumn(std::string_view column) const;
-
   void Serialize(Writer* w) const;
   static Result<Table> Deserialize(Reader* r);
-
-  // Decodes a row section as Serialize writes it after the schema (row
-  // count, then the cells) under this table's schema, and appends the
-  // first `max_append` rows; the rest are still decoded, so a corrupt tail
-  // fails the whole section, then dropped. Returns the section's row
-  // count. On error the table is left as it was.
-  Result<uint64_t> AppendSerializedRows(Reader* r,
-                                        uint64_t max_append = UINT64_MAX);
 
   bool operator==(const Table& other) const {
     return schema_ == other.schema_ && rows_ == other.rows_;

@@ -6,6 +6,15 @@
 
 namespace edgelet::exec {
 
+namespace {
+
+data::TableView WholeView(data::ColumnTable table) {
+  return data::TableView(
+      std::make_shared<const data::ColumnTable>(std::move(table)));
+}
+
+}  // namespace
+
 ComputerActor::ComputerActor(net::Transport* net, device::Device* dev,
                              Config config)
     : OperatorActor(net, dev, config.query_id, config.checkpoint),
@@ -35,7 +44,7 @@ void ComputerActor::Start() {
     if (!RestoreState(config_.resume_state).ok()) {
       // Undecodable resume state: start fresh rather than wedge.
       have_slice_ = output_sent_ = km_initialized_ = false;
-      slice_ = data::Table();
+      slice_ = WholeView(data::ColumnTable());
       knowledge_ = ml::KMeansKnowledge();
     }
     if (have_slice_ && config_.mode == Mode::kKMeans) {
@@ -69,7 +78,7 @@ Bytes ComputerActor::SerializeState() const {
   w.PutBool(have_slice_);
   w.PutBool(output_sent_);
   w.PutU32(slice_epoch_);
-  slice_.Serialize(&w);
+  slice_.store().Serialize(&w);
   w.PutBool(km_initialized_);
   if (km_initialized_) knowledge_.Serialize(&w);
   w.PutVarint(static_cast<uint64_t>(rounds_with_peer_input_));
@@ -84,7 +93,7 @@ Status ComputerActor::RestoreState(const Bytes& state) {
   if (!output_sent.ok()) return output_sent.status();
   auto epoch = r.GetU32();
   if (!epoch.ok()) return epoch.status();
-  auto slice = data::Table::Deserialize(&r);
+  auto slice = data::ColumnTable::Deserialize(&r);
   if (!slice.ok()) return slice.status();
   auto km_init = r.GetBool();
   if (!km_init.ok()) return km_init.status();
@@ -99,7 +108,7 @@ Status ComputerActor::RestoreState(const Bytes& state) {
   have_slice_ = *have_slice;
   output_sent_ = *output_sent;
   slice_epoch_ = *epoch;
-  slice_ = std::move(*slice);
+  slice_ = WholeView(std::move(*slice));
   km_initialized_ = *km_init;
   knowledge_ = std::move(knowledge);
   rounds_with_peer_input_ = static_cast<int>(*rounds);
@@ -145,7 +154,7 @@ void ComputerActor::OnSlice(const net::Message& msg) {
   if (have_slice_) return;
   have_slice_ = true;
   slice_epoch_ = slice->epoch;
-  slice_ = std::move(slice->rows);
+  slice_ = WholeView(std::move(slice->rows));
   dev()->enclave().RecordClearTextTuples(slice_.num_rows(),
                                          slice_.schema().num_columns());
   // The slice in hand is a phase transition: persist before computing so a
@@ -326,12 +335,12 @@ void ComputerActor::EmitKmFinal() {
       if (agg_cols[a] < 0) {
         (void)stats.per_cluster[c][a].Add(data::Value::Null(), true);
       } else if (aggs[a].fn == query::AggregateFunction::kCountDistinct) {
-        stats.per_cluster[c][a].AddDistinct(slice_.row(i)[agg_cols[a]]);
+        stats.per_cluster[c][a].AddDistinct(slice_.ValueAt(i, agg_cols[a]));
       } else if (aggs[a].fn == query::AggregateFunction::kQuantile) {
         (void)stats.per_cluster[c][a].AddQuantile(
-            slice_.row(i)[agg_cols[a]]);
+            slice_.ValueAt(i, agg_cols[a]));
       } else {
-        (void)stats.per_cluster[c][a].Add(slice_.row(i)[agg_cols[a]]);
+        (void)stats.per_cluster[c][a].Add(slice_.ValueAt(i, agg_cols[a]));
       }
     }
   }

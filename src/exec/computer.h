@@ -101,7 +101,8 @@ class ComputerActor : public OperatorActor {
   // Slice state.
   bool have_slice_ = false;
   uint32_t slice_epoch_ = 0;
-  data::Table slice_;
+  // A view over the whole slice; over an empty table until one arrives.
+  data::TableView slice_{std::make_shared<const data::ColumnTable>()};
 
   // GS state.
   std::optional<query::GroupingSetsResult> gs_partial_;

@@ -41,14 +41,14 @@ const Bytes& ContributionEncoder::EncodeRow(size_t vgroup,
 
 Bytes SnapshotSliceMsg::EncodeFrom(uint64_t query_id, uint32_t partition,
                                    uint32_t vgroup, uint32_t epoch,
-                                   const data::Table& rows) {
+                                   const data::ColumnTable& rows) {
   // The message's field list applied to references: no copy of `rows`.
   struct {
     const uint64_t& query_id;
     const uint32_t& partition;
     const uint32_t& vgroup;
     const uint32_t& epoch;
-    const data::Table& rows;
+    const data::ColumnTable& rows;
   } parts{query_id, partition, vgroup, epoch, rows};
   Writer w;
   wire::PutFields(&w, Fields(parts));

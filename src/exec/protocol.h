@@ -92,7 +92,7 @@ struct SnapshotSliceMsg {
   // Epoch distinguishes re-emissions by failover replicas (Backup
   // strategy): a partition's slices must come from one epoch.
   uint32_t epoch = 0;
-  data::Table rows;
+  data::ColumnTable rows;
 
   template <typename M>
   static auto Fields(M& m) {
@@ -106,7 +106,7 @@ struct SnapshotSliceMsg {
   // place instead of copying it into a message first.
   static Bytes EncodeFrom(uint64_t query_id, uint32_t partition,
                           uint32_t vgroup, uint32_t epoch,
-                          const data::Table& rows);
+                          const data::ColumnTable& rows);
 };
 
 // A computer's grouping-sets partial over its slice.

@@ -33,7 +33,7 @@ void SnapshotBuilderActor::Start() {
     if (!RestoreState(config_.resume_state).ok()) {
       // Undecodable resume state: start fresh rather than wedge. The
       // store's integrity checks make this unreachable in practice.
-      buffer_ = data::Table();
+      buffer_ = data::ColumnTable();
       complete_ = emitted_ = false;
       schema_bytes_.clear();
       included_.clear();
@@ -74,7 +74,7 @@ Status SnapshotBuilderActor::RestoreState(const Bytes& state) {
   if (!complete.ok()) return complete.status();
   auto emitted = r.GetBool();
   if (!emitted.ok()) return emitted.status();
-  auto buffer = data::Table::Deserialize(&r);
+  auto buffer = data::ColumnTable::Deserialize(&r);
   if (!buffer.ok()) return buffer.status();
   std::vector<uint64_t> included;
   auto ni = r.GetVarint();
@@ -161,7 +161,7 @@ Result<uint64_t> SnapshotBuilderActor::DecodeRowsIntoBuffer(Reader* r) {
   }
   auto schema = data::Schema::Deserialize(r);
   if (!schema.ok()) return schema.status();
-  data::Table first(std::move(*schema));
+  data::ColumnTable first(std::move(*schema));
   auto rows = first.AppendSerializedRows(r, room);
   if (!rows.ok()) return rows.status();
   buffer_ = std::move(first);

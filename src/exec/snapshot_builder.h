@@ -93,7 +93,7 @@ class SnapshotBuilderActor : public OperatorActor {
 
   Config config_;
   std::unique_ptr<ReplicaRole> replica_;
-  data::Table buffer_;
+  data::ColumnTable buffer_;
   // buffer_'s schema as contributions carry it; empty until the first
   // contribution fixes the schema (a serialized schema is never empty).
   Bytes schema_bytes_;

@@ -5,30 +5,6 @@
 
 namespace edgelet::ml {
 
-Result<Matrix> ExtractPoints(const data::Table& table,
-                             const std::vector<std::string>& features) {
-  std::vector<size_t> idx;
-  idx.reserve(features.size());
-  for (const auto& f : features) {
-    auto i = table.schema().IndexOf(f);
-    if (!i.ok()) return i.status();
-    idx.push_back(*i);
-  }
-  Matrix out;
-  out.reserve(table.num_rows());
-  for (const auto& row : table.rows()) {
-    std::vector<double> p;
-    p.reserve(idx.size());
-    for (size_t i : idx) {
-      auto d = row[i].ToDouble();
-      if (!d.ok()) return d.status();
-      p.push_back(*d);
-    }
-    out.push_back(std::move(p));
-  }
-  return out;
-}
-
 Result<Matrix> ExtractPoints(const data::TableView& view,
                              const std::vector<std::string>& features) {
   Matrix out;
@@ -52,8 +28,8 @@ Result<Matrix> ExtractPoints(const data::TableView& view,
     p.reserve(idx.size());
     for (size_t i : idx) {
       // Fast path: typed numeric columns read straight from the slab.
-      // NULLs and non-numeric columns fall back to Value::ToDouble so the
-      // error status matches the row path bit for bit.
+      // NULLs and non-numeric columns go through Value::ToDouble for its
+      // error status.
       data::ValueType t = store.schema().column(i).type;
       if (!store.IsNull(row, i) && t == data::ValueType::kInt64) {
         p.push_back(static_cast<double>(store.Int64At(row, i)));

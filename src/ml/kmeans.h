@@ -8,20 +8,15 @@
 #include "common/serialize.h"
 #include "common/status.h"
 #include "data/column_table.h"
-#include "data/table.h"
 
 namespace edgelet::ml {
 
 // Row-major points / centroids: points[i] is a d-dimensional vector.
 using Matrix = std::vector<std::vector<double>>;
 
-// Extracts the named numeric feature columns of `table` into a point
-// matrix.
-Result<Matrix> ExtractPoints(const data::Table& table,
-                             const std::vector<std::string>& features);
-// Columnar variant: reads the typed feature columns straight from the
-// view's shared store (no per-row tuples). Same error semantics as the
-// row path on string or NULL cells.
+// Extracts the named numeric feature columns of `view` into a point
+// matrix, reading the typed columns straight from its store. Fails on a
+// string or NULL cell.
 Result<Matrix> ExtractPoints(const data::TableView& view,
                              const std::vector<std::string>& features);
 

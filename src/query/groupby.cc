@@ -9,21 +9,6 @@ void SerializeKey(const data::Tuple& key, Writer* w) {
   for (const auto& v : key) v.Serialize(w);
 }
 
-// Row-source adapters for the shared aggregation scan.
-struct TableSource {
-  const data::Table& table;
-  const data::Schema& schema() const { return table.schema(); }
-  size_t num_rows() const { return table.num_rows(); }
-  const data::Value& cell(size_t r, size_t c) const { return table.row(r)[c]; }
-};
-
-struct ViewSource {
-  const data::TableView& view;
-  const data::Schema& schema() const { return view.schema(); }
-  size_t num_rows() const { return view.num_rows(); }
-  data::Value cell(size_t r, size_t c) const { return view.ValueAt(r, c); }
-};
-
 }  // namespace
 
 void GroupBySpec::Serialize(Writer* w) const {
@@ -53,25 +38,12 @@ Result<GroupBySpec> GroupBySpec::Deserialize(Reader* r) {
 }
 
 Result<GroupedAggregation> GroupedAggregation::Compute(
-    const data::Table& table, const GroupBySpec& spec) {
-  return ComputeFrom(TableSource{table}, spec);
-}
-
-Result<GroupedAggregation> GroupedAggregation::Compute(
     const data::TableView& view, const GroupBySpec& spec) {
-  if (!view.has_store()) {
-    // A default view carries no schema; treat as an empty input with the
-    // spec's identity result (zero groups), matching an empty Table.
-    return GroupedAggregation(spec);
-  }
-  return ComputeFrom(ViewSource{view}, spec);
-}
-
-template <typename Source>
-Result<GroupedAggregation> GroupedAggregation::ComputeFrom(
-    const Source& source, const GroupBySpec& spec) {
   GroupedAggregation out(spec);
-  const data::Schema& schema = source.schema();
+  // A default view carries no schema; treat it as an empty input with the
+  // spec's identity result (zero groups).
+  if (!view.has_store()) return out;
+  const data::Schema& schema = view.schema();
 
   std::vector<size_t> key_idx;
   key_idx.reserve(spec.keys.size());
@@ -99,11 +71,11 @@ Result<GroupedAggregation> GroupedAggregation::ComputeFrom(
   // One reused key encoder for the whole scan; the map copies the bytes
   // only when the group is new.
   Writer key_writer;
-  const size_t num_rows = source.num_rows();
+  const size_t num_rows = view.num_rows();
   for (size_t r = 0; r < num_rows; ++r) {
     data::Tuple key;
     key.reserve(key_idx.size());
-    for (size_t i : key_idx) key.push_back(source.cell(r, i));
+    for (size_t i : key_idx) key.push_back(view.ValueAt(r, i));
     SerializeKey(key, &key_writer);
     auto [it, inserted] = out.groups_.try_emplace(key_writer.data());
     if (inserted) {
@@ -116,13 +88,13 @@ Result<GroupedAggregation> GroupedAggregation::ComputeFrom(
             it->second.states[a].Add(data::Value::Null(), /*count_star=*/true));
       } else if (spec.aggregates[a].fn == AggregateFunction::kCountDistinct) {
         it->second.states[a].AddDistinct(
-            source.cell(r, static_cast<size_t>(agg_idx[a])));
+            view.ValueAt(r, static_cast<size_t>(agg_idx[a])));
       } else if (spec.aggregates[a].fn == AggregateFunction::kQuantile) {
         EDGELET_RETURN_NOT_OK(it->second.states[a].AddQuantile(
-            source.cell(r, static_cast<size_t>(agg_idx[a]))));
+            view.ValueAt(r, static_cast<size_t>(agg_idx[a]))));
       } else {
         EDGELET_RETURN_NOT_OK(it->second.states[a].Add(
-            source.cell(r, static_cast<size_t>(agg_idx[a]))));
+            view.ValueAt(r, static_cast<size_t>(agg_idx[a]))));
       }
     }
   }

@@ -33,12 +33,8 @@ class GroupedAggregation {
 
   const GroupBySpec& spec() const { return spec_; }
 
-  // Aggregates every row of `table` (which must contain all key and
-  // aggregate columns).
-  static Result<GroupedAggregation> Compute(const data::Table& table,
-                                            const GroupBySpec& spec);
-  // Same over a columnar view: reads cells straight from the shared store
-  // without materializing row tuples.
+  // Aggregates every row of `view` (which must contain all key and
+  // aggregate columns), reading cells straight from its store.
   static Result<GroupedAggregation> Compute(const data::TableView& view,
                                             const GroupBySpec& spec);
 
@@ -59,11 +55,6 @@ class GroupedAggregation {
     data::Tuple key;
     std::vector<AggregateState> states;
   };
-
-  // Shared scan over any row source exposing schema()/num_rows()/cell().
-  template <typename Source>
-  static Result<GroupedAggregation> ComputeFrom(const Source& source,
-                                                const GroupBySpec& spec);
 
   GroupBySpec spec_;
   // Keyed by the serialized key tuple => deterministic iteration order.

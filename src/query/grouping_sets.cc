@@ -80,34 +80,10 @@ GroupingSetsResult::GroupingSetsResult(GroupingSetsSpec spec)
       present_(spec_.sets.size(), false) {}
 
 Result<GroupingSetsResult> GroupingSetsResult::Compute(
-    const data::Table& table, const GroupingSetsSpec& spec) {
-  std::vector<size_t> all(spec.sets.size());
-  for (size_t i = 0; i < all.size(); ++i) all[i] = i;
-  return ComputeSets(table, spec, all);
-}
-
-Result<GroupingSetsResult> GroupingSetsResult::Compute(
     const data::TableView& view, const GroupingSetsSpec& spec) {
   std::vector<size_t> all(spec.sets.size());
   for (size_t i = 0; i < all.size(); ++i) all[i] = i;
   return ComputeSets(view, spec, all);
-}
-
-Result<GroupingSetsResult> GroupingSetsResult::ComputeSets(
-    const data::Table& table, const GroupingSetsSpec& spec,
-    const std::vector<size_t>& set_indices) {
-  GroupingSetsResult out(spec);
-  for (size_t i : set_indices) {
-    if (i >= spec.sets.size()) {
-      return Status::OutOfRange("grouping set index " + std::to_string(i));
-    }
-    GroupBySpec gb{spec.sets[i], spec.aggregates};
-    auto agg = GroupedAggregation::Compute(table, gb);
-    if (!agg.ok()) return agg.status();
-    out.per_set_[i] = std::move(*agg);
-    out.present_[i] = true;
-  }
-  return out;
 }
 
 Result<GroupingSetsResult> GroupingSetsResult::ComputeSets(

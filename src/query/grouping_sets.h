@@ -36,18 +36,11 @@ class GroupingSetsResult {
 
   const GroupingSetsSpec& spec() const { return spec_; }
 
-  // Computes every grouping set over `table`.
-  static Result<GroupingSetsResult> Compute(const data::Table& table,
-                                            const GroupingSetsSpec& spec);
+  // Computes every grouping set over `view`.
   static Result<GroupingSetsResult> Compute(const data::TableView& view,
                                             const GroupingSetsSpec& spec);
   // Computes only the listed set indices (vertical partitioning: this
   // computer holds only the attributes those sets need).
-  static Result<GroupingSetsResult> ComputeSets(
-      const data::Table& table, const GroupingSetsSpec& spec,
-      const std::vector<size_t>& set_indices);
-  // Columnar-view variant: every set scans the shared store through the
-  // view, with no row materialization.
   static Result<GroupingSetsResult> ComputeSets(
       const data::TableView& view, const GroupingSetsSpec& spec,
       const std::vector<size_t>& set_indices);

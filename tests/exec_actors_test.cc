@@ -12,9 +12,12 @@
 #include "exec/computer.h"
 #include "exec/execution.h"
 #include "exec/snapshot_builder.h"
+#include "table_views.h"
 
 namespace edgelet::exec {
 namespace {
+
+using testutil::ViewOf;
 
 // The query every actor under test serves; messages travel under its tag.
 constexpr uint64_t kQuery = 1;
@@ -220,7 +223,7 @@ SnapshotBuilderActor::Config CollectingBuilder(device::Device* sb_dev,
 size_t SeenSectionOffset(const Bytes& state) {
   Reader r(state);
   for (int i = 0; i < 3; ++i) EXPECT_TRUE(r.GetBool().ok());
-  EXPECT_TRUE(data::Table::Deserialize(&r).ok());
+  EXPECT_TRUE(data::ColumnTable::Deserialize(&r).ok());
   auto n = r.GetVarint();
   EXPECT_TRUE(n.ok());
   for (uint64_t i = 0; i < *n; ++i) EXPECT_TRUE(r.GetU64().ok());
@@ -329,6 +332,53 @@ TEST_F(ActorTest, SnapshotBuilderRejectsHostileContributionRowCount) {
   EXPECT_EQ(sb.included_contributors(), (std::vector<uint64_t>{100, 101}));
 }
 
+TEST_F(ActorTest, SnapshotBuilderRejectsMistypedOrTruncatedRows) {
+  device::Device* sb_dev = NewDevice();
+  device::Device* sink_dev = NewDevice();
+  SnapshotBuilderActor sb(&transport_, sb_dev,
+                          CollectingBuilder(sb_dev, sink_dev));
+  sb.Start();
+  device::Device* contributor = NewDevice();
+  SendContribution(contributor, sb_dev->id(), 1, "north", 20.0);
+  sim_.RunUntil(kMinute);
+  ASSERT_EQ(sb.tuples_collected(), 1u);
+
+  // Key 2: the second row carries a string in the DOUBLE bmi column.
+  ContributionMsg mistyped;
+  mistyped.query_id = 1;
+  mistyped.contributor_key = 2;
+  mistyped.rows = data::Table(MiniSchema());
+  mistyped.rows.AppendUnchecked({data::Value("south"), data::Value(22.0)});
+  mistyped.rows.AppendUnchecked({data::Value("east"), data::Value("heavy")});
+  // Key 3: two honest rows, cut off inside the second row's bmi cell.
+  ContributionMsg two_rows;
+  two_rows.query_id = 1;
+  two_rows.contributor_key = 3;
+  two_rows.rows = data::Table(MiniSchema());
+  two_rows.rows.AppendUnchecked({data::Value("west"), data::Value(23.0)});
+  two_rows.rows.AppendUnchecked({data::Value("west"), data::Value(24.0)});
+  Bytes truncated = two_rows.Encode();
+  truncated.resize(truncated.size() - 4);
+
+  SimTime at = kMinute;
+  for (const auto& [key, payload] :
+       {std::pair{uint64_t{2}, mistyped.Encode()},
+        std::pair{uint64_t{3}, truncated}}) {
+    const Bytes state = sb.SerializeState();
+    ASSERT_TRUE(contributor
+                    ->SendSealed(sb_dev->id(), kContribution, payload, kQuery)
+                    .ok());
+    sim_.RunUntil(at += kMinute);
+    EXPECT_EQ(sb.tuples_collected(), key - 1) << "key " << key;
+    EXPECT_EQ(sb.SerializeState(), state) << "key " << key;
+    // The key is not marked seen: its honest contribution then lands.
+    SendContribution(contributor, sb_dev->id(), key, "north", 20.0 + key);
+    sim_.RunUntil(at += kMinute);
+    EXPECT_EQ(sb.tuples_collected(), key) << "key " << key;
+  }
+  EXPECT_EQ(sb.included_contributors(), (std::vector<uint64_t>{1, 2, 3}));
+}
+
 TEST_F(ActorTest, SnapshotBuilderRejectsHostileResumeCounts) {
   device::Device* sb_dev = NewDevice();
   device::Device* sink_dev = NewDevice();
@@ -393,8 +443,9 @@ TEST_F(ActorTest, ComputerTakesFirstEpochOnly) {
     slice.partition = 0;
     slice.vgroup = 0;
     slice.epoch = epoch;
-    slice.rows = data::Table(MiniSchema());
-    slice.rows.AppendUnchecked({data::Value("north"), data::Value(bmi)});
+    slice.rows = data::ColumnTable(MiniSchema());
+    ASSERT_TRUE(
+        slice.rows.AppendTuple({data::Value("north"), data::Value(bmi)}).ok());
     ASSERT_TRUE(
         sb_dev->SendSealed(comp_dev->id(), kSnapshotSlice, slice.Encode(),
                            kQuery)
@@ -439,7 +490,7 @@ TEST_F(ActorTest, CombinerMergesExactlyFirstNPartitions) {
   auto send_partial = [&](uint32_t partition, double bmi) {
     data::Table t(MiniSchema());
     t.AppendUnchecked({data::Value("north"), data::Value(bmi)});
-    auto result = query::GroupingSetsResult::Compute(t, MiniSpec());
+    auto result = query::GroupingSetsResult::Compute(ViewOf(t), MiniSpec());
     ASSERT_TRUE(result.ok());
     GsPartialMsg msg;
     msg.query_id = 1;
@@ -493,7 +544,7 @@ TEST_F(ActorTest, CombinerIgnoresDuplicateVgroupPartials) {
 
   data::Table t(MiniSchema());
   t.AppendUnchecked({data::Value("north"), data::Value(30.0)});
-  auto partial = query::GroupingSetsResult::Compute(t, MiniSpec());
+  auto partial = query::GroupingSetsResult::Compute(ViewOf(t), MiniSpec());
   ASSERT_TRUE(partial.ok());
   GsPartialMsg msg;
   msg.query_id = 1;
@@ -544,7 +595,7 @@ TEST_F(ActorTest, CombinerEvictsPoisonedPartitionAndUsesSpare) {
       {{"region"}}, {{query::AggregateFunction::kCount, "*"}}};
   data::Table pt(MiniSchema());
   pt.AppendUnchecked({data::Value("north"), data::Value(1.0)});
-  auto poison = query::GroupingSetsResult::Compute(pt, poison_spec);
+  auto poison = query::GroupingSetsResult::Compute(ViewOf(pt), poison_spec);
   ASSERT_TRUE(poison.ok());
   GsPartialMsg bad;
   bad.query_id = 1;
@@ -560,7 +611,7 @@ TEST_F(ActorTest, CombinerEvictsPoisonedPartitionAndUsesSpare) {
   auto send_good = [&](uint32_t partition, double bmi) {
     data::Table t(MiniSchema());
     t.AppendUnchecked({data::Value("north"), data::Value(bmi)});
-    auto result = query::GroupingSetsResult::Compute(t, MiniSpec());
+    auto result = query::GroupingSetsResult::Compute(ViewOf(t), MiniSpec());
     ASSERT_TRUE(result.ok());
     GsPartialMsg msg;
     msg.query_id = 1;
@@ -614,7 +665,7 @@ TEST_F(ActorTest, CombinerRejectsOutOfRangeWireFields) {
   auto send_partial = [&](uint32_t partition, uint32_t vgroup) {
     data::Table t(MiniSchema());
     t.AppendUnchecked({data::Value("north"), data::Value(10.0)});
-    auto result = query::GroupingSetsResult::Compute(t, MiniSpec());
+    auto result = query::GroupingSetsResult::Compute(ViewOf(t), MiniSpec());
     ASSERT_TRUE(result.ok());
     GsPartialMsg msg;
     msg.query_id = 1;
@@ -689,7 +740,7 @@ TEST_F(ActorTest, StandbyCombinerStopsResendsAfterYieldingLeadership) {
                   [&]() { network_.SetOnline(leader_dev->id(), false); });
   data::Table t(MiniSchema());
   t.AppendUnchecked({data::Value("north"), data::Value(10.0)});
-  auto partial = query::GroupingSetsResult::Compute(t, MiniSpec());
+  auto partial = query::GroupingSetsResult::Compute(ViewOf(t), MiniSpec());
   ASSERT_TRUE(partial.ok());
   GsPartialMsg msg;
   msg.query_id = 1;

@@ -18,6 +18,7 @@
 #include "core/validity_oracle.h"
 #include "device/fleet.h"
 #include "exec/protocol.h"
+#include "table_views.h"
 
 namespace edgelet::core {
 namespace {
@@ -120,7 +121,8 @@ TEST(ChaosMatrixTest, PoisonedPartialMergeRecoversThroughSparePartition) {
       {{}}, {{AggregateFunction::kCount, "*"}}};
   data::Table t(data::Schema({{"x", data::ValueType::kInt64}}));
   t.AppendUnchecked({data::Value(int64_t{1})});
-  auto poison = query::GroupingSetsResult::Compute(t, poison_spec);
+  auto poison =
+      query::GroupingSetsResult::Compute(testutil::ViewOf(t), poison_spec);
   ASSERT_TRUE(poison.ok());
   exec::GsPartialMsg msg;
   msg.query_id = d->query.query_id;

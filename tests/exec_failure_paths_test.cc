@@ -6,6 +6,7 @@
 #include "core/framework.h"
 #include "core/validity_oracle.h"
 #include "exec/protocol.h"
+#include "table_views.h"
 
 namespace edgelet::core {
 namespace {
@@ -184,7 +185,8 @@ TEST(FailurePathsTest, OutOfRangeWirePartialsCannotCorruptTheResult) {
   data::Table junk(data::Schema({{"region", data::ValueType::kString}}));
   junk.AppendUnchecked({data::Value("nowhere")});
   auto junk_result =
-      query::GroupingSetsResult::Compute(junk, d->query.grouping_sets);
+      query::GroupingSetsResult::Compute(testutil::ViewOf(junk),
+                                         d->query.grouping_sets);
   ASSERT_TRUE(junk_result.ok());
   device::Device* sender = fw.fleet()->by_node(d->combiner_group[0]);
   ASSERT_NE(sender, nullptr);

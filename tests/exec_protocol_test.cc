@@ -16,6 +16,7 @@
 #include "exec/recovery.h"
 #include "query/quantile.h"
 #include "query/scan.h"
+#include "table_views.h"
 
 namespace edgelet::exec {
 namespace {
@@ -44,20 +45,21 @@ TEST(ProtocolTest, SnapshotSliceRoundTrip) {
   msg.partition = 3;
   msg.vgroup = 2;
   msg.epoch = 1;
-  msg.rows = SmallTable();
+  msg.rows = *data::ColumnTable::FromTable(SmallTable());
   auto back = SnapshotSliceMsg::Decode(msg.Encode());
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->partition, 3u);
   EXPECT_EQ(back->vgroup, 2u);
   EXPECT_EQ(back->epoch, 1u);
-  EXPECT_EQ(back->rows, msg.rows);
+  EXPECT_EQ(back->rows.ToTable(), SmallTable());
 }
 
 TEST(ProtocolTest, GsPartialRoundTrip) {
   query::GroupingSetsSpec spec{
       {{"region"}},
       {{query::AggregateFunction::kCount, "*"}}};
-  auto result = query::GroupingSetsResult::Compute(SmallTable(), spec);
+  auto result =
+      query::GroupingSetsResult::Compute(testutil::ViewOf(SmallTable()), spec);
   ASSERT_TRUE(result.ok());
   GsPartialMsg msg;
   msg.query_id = 9;
@@ -172,7 +174,8 @@ std::vector<GoldenRecord> GoldenRecords() {
   query::GroupingSetsSpec spec{{{"region"}, {}},
                                {{query::AggregateFunction::kCount, "*"},
                                 {query::AggregateFunction::kAvg, "score"}}};
-  auto partial = query::GroupingSetsResult::Compute(table, spec);
+  auto partial =
+      query::GroupingSetsResult::Compute(testutil::ViewOf(table), spec);
   EXPECT_TRUE(partial.ok());
   Writer stats;
   GoldenClusterStats().Serialize(&stats);
@@ -180,7 +183,9 @@ std::vector<GoldenRecord> GoldenRecords() {
   std::vector<GoldenRecord> out;
   out.push_back(Golden("Contribution",
                        ContributionMsg{42, 0x1122334455667788ULL, table}));
-  out.push_back(Golden("SnapshotSlice", SnapshotSliceMsg{42, 3, 1, 2, table}));
+  out.push_back(Golden("SnapshotSlice",
+                       SnapshotSliceMsg{42, 3, 1, 2,
+                                        *data::ColumnTable::FromTable(table)}));
   out.push_back(Golden("GsPartial", GsPartialMsg{42, 3, 1, 2, *partial}));
   out.push_back(
       Golden("KmKnowledge", KmKnowledgeMsg{42, 5, 6, GoldenKnowledge()}));
@@ -421,7 +426,22 @@ TEST(ProtocolTest, HostileSchemaAndSliceCountsRejected) {
   slice.PutU32(0);
   data::Schema({{"a", data::ValueType::kDouble}}).Serialize(&slice);
   slice.PutVarint(kHostileCount);
-  EXPECT_FALSE(SnapshotSliceMsg::Decode(slice.data()).ok());
+  auto hostile_rows = SnapshotSliceMsg::Decode(slice.data());
+  ASSERT_FALSE(hostile_rows.ok());
+  EXPECT_EQ(hostile_rows.status().code(), StatusCode::kCorruption);
+
+  // With no columns there are no cells to run out of: each row is charged
+  // one byte.
+  Writer zero_columns;
+  zero_columns.PutU64(1);
+  zero_columns.PutU32(0);
+  zero_columns.PutU32(0);
+  zero_columns.PutU32(0);
+  data::Schema().Serialize(&zero_columns);
+  zero_columns.PutVarint(kHostileCount);
+  auto hostile_empty_rows = SnapshotSliceMsg::Decode(zero_columns.data());
+  ASSERT_FALSE(hostile_empty_rows.ok());
+  EXPECT_EQ(hostile_empty_rows.status().code(), StatusCode::kCorruption);
 }
 
 TEST(ProtocolTest, HostileClusterAndCentroidCountsRejected) {

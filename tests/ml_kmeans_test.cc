@@ -7,6 +7,7 @@
 #include "data/generator.h"
 #include "data/partition.h"
 #include "ml/metrics.h"
+#include "table_views.h"
 
 namespace edgelet::ml {
 namespace {
@@ -33,7 +34,8 @@ TEST(KMeansTest, SquaredDistance) {
 TEST(KMeansTest, ExtractPoints) {
   data::HealthDataParams params;
   params.num_individuals = 50;
-  data::Table t = data::GenerateHealthData(params, 2);
+  const data::TableView t =
+      testutil::ViewOf(data::GenerateHealthColumns(params, 2));
   auto points = ExtractPoints(t, {"age", "bmi"});
   ASSERT_TRUE(points.ok());
   EXPECT_EQ(points->size(), 50u);

@@ -4,16 +4,18 @@
 
 #include "common/rng.h"
 #include "data/generator.h"
-#include "data/partition.h"
 #include "query/grouping_sets.h"
+#include "table_views.h"
 
 namespace edgelet::query {
 namespace {
 
 using data::Table;
 using data::Value;
+using testutil::HashPartitions;
+using testutil::ViewOf;
 
-Table PeopleTable() {
+data::TableView People() {
   data::Schema schema({{"region", data::ValueType::kString},
                        {"sex", data::ValueType::kString},
                        {"age", data::ValueType::kInt64},
@@ -29,12 +31,12 @@ Table PeopleTable() {
   add("south", "F", 80, 24.0);
   add("south", "F", 85, 26.0);
   add("south", "M", 90, 30.0);
-  return t;
+  return ViewOf(t);
 }
 
 TEST(GroupByTest, GlobalAggregate) {
   GroupBySpec spec{{}, {{AggregateFunction::kAvg, "age"}}};
-  auto agg = GroupedAggregation::Compute(PeopleTable(), spec);
+  auto agg = GroupedAggregation::Compute(People(), spec);
   ASSERT_TRUE(agg.ok());
   EXPECT_EQ(agg->num_groups(), 1u);
   Table out = agg->Finalize();
@@ -46,7 +48,7 @@ TEST(GroupByTest, SingleKey) {
   GroupBySpec spec{{"region"},
                    {{AggregateFunction::kCount, "*"},
                     {AggregateFunction::kAvg, "bmi"}}};
-  auto agg = GroupedAggregation::Compute(PeopleTable(), spec);
+  auto agg = GroupedAggregation::Compute(People(), spec);
   ASSERT_TRUE(agg.ok());
   Table out = agg->Finalize();
   ASSERT_EQ(out.num_rows(), 2u);
@@ -65,35 +67,35 @@ TEST(GroupByTest, SingleKey) {
 
 TEST(GroupByTest, CompositeKey) {
   GroupBySpec spec{{"region", "sex"}, {{AggregateFunction::kCount, "*"}}};
-  auto agg = GroupedAggregation::Compute(PeopleTable(), spec);
+  auto agg = GroupedAggregation::Compute(People(), spec);
   ASSERT_TRUE(agg.ok());
   EXPECT_EQ(agg->num_groups(), 4u);  // north/F north/M south/F south/M
 }
 
 TEST(GroupByTest, UnknownColumnFails) {
   GroupBySpec spec{{"nope"}, {{AggregateFunction::kCount, "*"}}};
-  EXPECT_FALSE(GroupedAggregation::Compute(PeopleTable(), spec).ok());
+  EXPECT_FALSE(GroupedAggregation::Compute(People(), spec).ok());
   GroupBySpec spec2{{"region"}, {{AggregateFunction::kSum, "nope"}}};
-  EXPECT_FALSE(GroupedAggregation::Compute(PeopleTable(), spec2).ok());
+  EXPECT_FALSE(GroupedAggregation::Compute(People(), spec2).ok());
 }
 
 TEST(GroupByTest, StarOnlyValidForCount) {
   GroupBySpec spec{{"region"}, {{AggregateFunction::kSum, "*"}}};
-  EXPECT_FALSE(GroupedAggregation::Compute(PeopleTable(), spec).ok());
+  EXPECT_FALSE(GroupedAggregation::Compute(People(), spec).ok());
 }
 
 TEST(GroupByTest, MergeSpecMismatchFails) {
   GroupBySpec s1{{"region"}, {{AggregateFunction::kCount, "*"}}};
   GroupBySpec s2{{"sex"}, {{AggregateFunction::kCount, "*"}}};
-  auto a = GroupedAggregation::Compute(PeopleTable(), s1);
-  auto b = GroupedAggregation::Compute(PeopleTable(), s2);
+  auto a = GroupedAggregation::Compute(People(), s1);
+  auto b = GroupedAggregation::Compute(People(), s2);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_FALSE(a->Merge(*b).ok());
 }
 
 TEST(GroupByTest, DefaultConstructedAdoptsSpecOnMerge) {
   GroupBySpec spec{{"region"}, {{AggregateFunction::kCount, "*"}}};
-  auto a = GroupedAggregation::Compute(PeopleTable(), spec);
+  auto a = GroupedAggregation::Compute(People(), spec);
   ASSERT_TRUE(a.ok());
   GroupedAggregation acc;
   EXPECT_TRUE(acc.Merge(*a).ok());
@@ -105,7 +107,8 @@ TEST(GroupByTest, DefaultConstructedAdoptsSpecOnMerge) {
 TEST(GroupByTest, PartitionedMergeEqualsCentralized) {
   data::HealthDataParams params;
   params.num_individuals = 2000;
-  Table table = data::GenerateHealthData(params, 31);
+  const data::TableView table =
+      ViewOf(data::GenerateHealthColumns(params, 31));
   GroupBySpec spec{{"region", "sex"},
                    {{AggregateFunction::kCount, "*"},
                     {AggregateFunction::kAvg, "bmi"},
@@ -116,10 +119,9 @@ TEST(GroupByTest, PartitionedMergeEqualsCentralized) {
   auto central = GroupedAggregation::Compute(table, spec);
   ASSERT_TRUE(central.ok());
 
-  auto parts = data::PartitionByHash(table, "contributor_id", 8);
-  ASSERT_TRUE(parts.ok());
+  const auto parts = HashPartitions(table, "contributor_id", 8);
   GroupedAggregation merged;
-  for (const auto& p : *parts) {
+  for (const auto& p : parts) {
     auto partial = GroupedAggregation::Compute(p, spec);
     ASSERT_TRUE(partial.ok());
     ASSERT_TRUE(merged.Merge(*partial).ok());
@@ -147,7 +149,7 @@ TEST(GroupByTest, SerializationRoundTrip) {
   GroupBySpec spec{{"region"},
                    {{AggregateFunction::kCount, "*"},
                     {AggregateFunction::kAvg, "bmi"}}};
-  auto agg = GroupedAggregation::Compute(PeopleTable(), spec);
+  auto agg = GroupedAggregation::Compute(People(), spec);
   ASSERT_TRUE(agg.ok());
   Writer w;
   agg->Serialize(&w);
@@ -176,7 +178,7 @@ TEST(GroupingSetsTest, ColumnHelpers) {
 }
 
 TEST(GroupingSetsTest, ComputeAllSets) {
-  auto result = GroupingSetsResult::Compute(PeopleTable(), DemoSpec());
+  auto result = GroupingSetsResult::Compute(People(), DemoSpec());
   ASSERT_TRUE(result.ok());
   auto table = result->Finalize();
   ASSERT_TRUE(table.ok()) << table.status().ToString();
@@ -187,7 +189,7 @@ TEST(GroupingSetsTest, ComputeAllSets) {
 }
 
 TEST(GroupingSetsTest, NullsForAbsentKeys) {
-  auto result = GroupingSetsResult::Compute(PeopleTable(), DemoSpec());
+  auto result = GroupingSetsResult::Compute(People(), DemoSpec());
   ASSERT_TRUE(result.ok());
   auto table = result->Finalize();
   ASSERT_TRUE(table.ok());
@@ -212,8 +214,8 @@ TEST(GroupingSetsTest, PartialSetsAndStitching) {
   // Vertical partitioning: computer A evaluates sets {0}, computer B sets
   // {1, 2}; the combiner stitches.
   GroupingSetsSpec spec = DemoSpec();
-  auto a = GroupingSetsResult::ComputeSets(PeopleTable(), spec, {0});
-  auto b = GroupingSetsResult::ComputeSets(PeopleTable(), spec, {1, 2});
+  auto a = GroupingSetsResult::ComputeSets(People(), spec, {0});
+  auto b = GroupingSetsResult::ComputeSets(People(), spec, {1, 2});
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_TRUE(a->HasSet(0));
   EXPECT_FALSE(a->HasSet(1));
@@ -226,7 +228,7 @@ TEST(GroupingSetsTest, PartialSetsAndStitching) {
   auto stitched = acc.Finalize();
   ASSERT_TRUE(stitched.ok());
 
-  auto full = GroupingSetsResult::Compute(PeopleTable(), spec);
+  auto full = GroupingSetsResult::Compute(People(), spec);
   ASSERT_TRUE(full.ok());
   auto expected = full->Finalize();
   ASSERT_TRUE(expected.ok());
@@ -236,7 +238,8 @@ TEST(GroupingSetsTest, PartialSetsAndStitching) {
 TEST(GroupingSetsTest, MergeAcrossHorizontalPartitions) {
   data::HealthDataParams params;
   params.num_individuals = 1200;
-  Table table = data::GenerateHealthData(params, 77);
+  const data::TableView table =
+      ViewOf(data::GenerateHealthColumns(params, 77));
   GroupingSetsSpec spec{
       {{"region"}, {"dependency"}},
       {{AggregateFunction::kCount, "*"}, {AggregateFunction::kAvg, "age"}}};
@@ -246,10 +249,9 @@ TEST(GroupingSetsTest, MergeAcrossHorizontalPartitions) {
   auto expected = central->Finalize();
   ASSERT_TRUE(expected.ok());
 
-  auto parts = data::PartitionByHash(table, "contributor_id", 5);
-  ASSERT_TRUE(parts.ok());
+  const auto parts = HashPartitions(table, "contributor_id", 5);
   GroupingSetsResult acc;
-  for (const auto& p : *parts) {
+  for (const auto& p : parts) {
     auto partial = GroupingSetsResult::Compute(p, spec);
     ASSERT_TRUE(partial.ok());
     ASSERT_TRUE(acc.Merge(*partial).ok());
@@ -271,7 +273,7 @@ TEST(GroupingSetsTest, MergeAcrossHorizontalPartitions) {
 }
 
 TEST(GroupingSetsTest, SerializationRoundTrip) {
-  auto result = GroupingSetsResult::Compute(PeopleTable(), DemoSpec());
+  auto result = GroupingSetsResult::Compute(People(), DemoSpec());
   ASSERT_TRUE(result.ok());
   Writer w;
   result->Serialize(&w);
@@ -285,7 +287,7 @@ TEST(GroupingSetsTest, SerializationRoundTrip) {
 }
 
 TEST(GroupingSetsTest, PartialSerializationPreservesPresence) {
-  auto a = GroupingSetsResult::ComputeSets(PeopleTable(), DemoSpec(), {1});
+  auto a = GroupingSetsResult::ComputeSets(People(), DemoSpec(), {1});
   ASSERT_TRUE(a.ok());
   Writer w;
   a->Serialize(&w);

@@ -8,11 +8,14 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "data/generator.h"
-#include "data/partition.h"
 #include "query/groupby.h"
+#include "table_views.h"
 
 namespace edgelet::query {
 namespace {
+
+using testutil::HashPartitions;
+using testutil::ViewOf;
 
 TEST(HllTest, EmptyEstimatesZero) {
   HyperLogLog hll;
@@ -127,7 +130,7 @@ TEST(CountDistinctTest, ExactForSmallGroups) {
   GroupBySpec spec{{"region"},
                    {{AggregateFunction::kCountDistinct, "person"},
                     {AggregateFunction::kCount, "person"}}};
-  auto agg = GroupedAggregation::Compute(t, spec);
+  auto agg = GroupedAggregation::Compute(ViewOf(t), spec);
   ASSERT_TRUE(agg.ok());
   data::Table out = agg->Finalize();
   ASSERT_EQ(out.num_rows(), 2u);
@@ -140,16 +143,16 @@ TEST(CountDistinctTest, ExactForSmallGroups) {
 TEST(CountDistinctTest, MergeAcrossPartitionsMatchesCentralized) {
   data::HealthDataParams params;
   params.num_individuals = 3000;
-  data::Table table = data::GenerateHealthData(params, 9);
+  const data::TableView table =
+      ViewOf(data::GenerateHealthColumns(params, 9));
   GroupBySpec spec{{}, {{AggregateFunction::kCountDistinct, "dependency"}}};
 
   auto central = GroupedAggregation::Compute(table, spec);
   ASSERT_TRUE(central.ok());
 
-  auto parts = data::PartitionByHash(table, "contributor_id", 6);
-  ASSERT_TRUE(parts.ok());
+  const auto parts = HashPartitions(table, "contributor_id", 6);
   GroupedAggregation merged;
-  for (const auto& p : *parts) {
+  for (const auto& p : parts) {
     auto partial = GroupedAggregation::Compute(p, spec);
     ASSERT_TRUE(partial.ok());
     ASSERT_TRUE(merged.Merge(*partial).ok());
@@ -187,7 +190,7 @@ TEST(CountDistinctTest, StarRejected) {
   data::Schema schema({{"x", data::ValueType::kInt64}});
   data::Table t(schema);
   GroupBySpec spec{{}, {{AggregateFunction::kCountDistinct, "*"}}};
-  EXPECT_FALSE(GroupedAggregation::Compute(t, spec).ok());
+  EXPECT_FALSE(GroupedAggregation::Compute(ViewOf(t), spec).ok());
 }
 
 }  // namespace

@@ -7,11 +7,14 @@
 
 #include "common/rng.h"
 #include "data/generator.h"
-#include "data/partition.h"
 #include "query/groupby.h"
+#include "table_views.h"
 
 namespace edgelet::query {
 namespace {
+
+using testutil::HashPartitions;
+using testutil::ViewOf;
 
 // Exact quantile of a sample, by sorting.
 double ExactQuantile(std::vector<double> values, double q) {
@@ -135,7 +138,7 @@ TEST(QuantileAggregateTest, MedianPerGroup) {
                           data::Value(static_cast<double>(i))}).ok());
   }
   GroupBySpec spec{{"g"}, {{AggregateFunction::kQuantile, "v", 0.5}}};
-  auto agg = GroupedAggregation::Compute(t, spec);
+  auto agg = GroupedAggregation::Compute(ViewOf(t), spec);
   ASSERT_TRUE(agg.ok());
   data::Table out = agg->Finalize();
   ASSERT_EQ(out.num_rows(), 1u);
@@ -146,17 +149,21 @@ TEST(QuantileAggregateTest, MedianPerGroup) {
 TEST(QuantileAggregateTest, MergeAcrossPartitionsStaysAccurate) {
   data::HealthDataParams params;
   params.num_individuals = 4000;
-  data::Table table = data::GenerateHealthData(params, 21);
+  const data::TableView table =
+      ViewOf(data::GenerateHealthColumns(params, 21));
   GroupBySpec spec{{}, {{AggregateFunction::kQuantile, "bmi", 0.5}}};
 
-  auto exact_values = table.NumericColumn("bmi");
-  ASSERT_TRUE(exact_values.ok());
-  double exact = ExactQuantile(*exact_values, 0.5);
+  auto bmi = table.schema().IndexOf("bmi");
+  ASSERT_TRUE(bmi.ok());
+  std::vector<double> exact_values;
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    exact_values.push_back(table.ValueAt(r, *bmi).AsDouble());
+  }
+  double exact = ExactQuantile(exact_values, 0.5);
 
-  auto parts = data::PartitionByHash(table, "contributor_id", 8);
-  ASSERT_TRUE(parts.ok());
+  const auto parts = HashPartitions(table, "contributor_id", 8);
   GroupedAggregation merged;
-  for (const auto& p : *parts) {
+  for (const auto& p : parts) {
     auto partial = GroupedAggregation::Compute(p, spec);
     ASSERT_TRUE(partial.ok());
     ASSERT_TRUE(merged.Merge(*partial).ok());
