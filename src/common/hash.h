@@ -53,6 +53,8 @@ struct FlatTableNoValue {};
 template <typename V>
 class FlatTable64 {
  public:
+  using key_type = uint64_t;
+
   size_t size() const { return size_; }
 
   // The value under `key`, or null.

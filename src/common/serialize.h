@@ -1,8 +1,12 @@
 #ifndef EDGELET_COMMON_SERIALIZE_H_
 #define EDGELET_COMMON_SERIALIZE_H_
 
+#include <algorithm>
+#include <climits>
 #include <cstdint>
 #include <cstring>
+#include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -11,6 +15,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/hash.h"
 #include "common/status.h"
 
 namespace edgelet {
@@ -159,11 +164,18 @@ class Reader {
 // field type has one encoding:
 //
 //   uint32_t, uint64_t   fixed width, little-endian
+//   int                  varint; rejected above INT_MAX
 //   bool                 one byte, 0 or 1
 //   wire enum            one byte, rejected above WireLastTag(E{}), a
 //                        constexpr function declared next to the enum
 //   Bytes                varint length, then the bytes
 //   std::vector<T>       varint count (CheckCount), then each element
+//   std::pair<A, B>      first, then second
+//   std::map<K, V>,      varint count (CheckCount), then each entry (a
+//   std::set<K>,         map's as a key-value pair); keys strictly
+//   FlatSet64            ascending
+//   If(flag, value)      value, only if the bool `flag` (earlier in the
+//                        list) is true; such lists use wire::Tie
 //   record with Fields   its fields in order
 //   any other type       its own Serialize(Writer*) / Deserialize(Reader*)
 //
@@ -173,10 +185,34 @@ namespace wire {
 template <typename T>
 concept Record = requires(T& m) { T::Fields(m); };
 
+// True when T is a specialization of Tmpl.
+template <typename T, template <typename...> class Tmpl>
+inline constexpr bool kIs = false;
+template <template <typename...> class Tmpl, typename... A>
+inline constexpr bool kIs<Tmpl<A...>, Tmpl> = true;
+
+// The fewest bytes one encoded T takes: what CheckCount sizes a count by.
 template <typename T>
-inline constexpr bool kIsVector = false;
-template <typename T, typename A>
-inline constexpr bool kIsVector<std::vector<T, A>> = true;
+inline constexpr size_t kMinBytes =
+    std::is_same_v<T, uint32_t> ? 4 : std::is_same_v<T, uint64_t> ? 8 : 1;
+
+// A field present only when `flag`, a bool field earlier in the same
+// list, is true.
+template <typename V>
+struct Guarded {
+  const bool& flag;
+  V& value;
+};
+template <typename V>
+Guarded<V> If(const bool& flag, V& value) {
+  return {flag, value};
+}
+
+// std::tie for a field list with If() guards, which it holds by value.
+template <typename... F>
+auto Tie(F&&... fields) {
+  return std::tuple<F...>(std::forward<F>(fields)...);
+}
 
 template <typename T>
 void Put(Writer* w, const T& v);
@@ -194,14 +230,26 @@ void Put(Writer* w, const T& v) {
     w->PutU32(v);
   } else if constexpr (std::is_same_v<T, uint64_t>) {
     w->PutU64(v);
+  } else if constexpr (std::is_same_v<T, int>) {
+    w->PutVarint(static_cast<uint64_t>(v));
   } else if constexpr (std::is_enum_v<T>) {
     static_assert(std::is_same_v<std::underlying_type_t<T>, uint8_t>);
     w->PutU8(static_cast<uint8_t>(v));
   } else if constexpr (std::is_same_v<T, Bytes>) {
     w->PutBytes(v);
-  } else if constexpr (kIsVector<T>) {
+  } else if constexpr (std::is_same_v<T, FlatSet64>) {
+    std::vector<uint64_t> keys = v.Keys();
+    std::sort(keys.begin(), keys.end());
+    Put(w, keys);
+  } else if constexpr (kIs<T, std::vector> || kIs<T, std::map> ||
+                       kIs<T, std::set>) {
     w->PutVarint(v.size());
-    for (const auto& e : v) Put(w, e);
+    for (const auto& e : v) Put(w, e);  // a map entry is a pair
+  } else if constexpr (kIs<T, std::pair>) {
+    Put(w, v.first);
+    Put(w, v.second);
+  } else if constexpr (kIs<T, Guarded>) {
+    if (v.flag) Put(w, v.value);
   } else if constexpr (Record<T>) {
     PutFields(w, T::Fields(v));
   } else {
@@ -219,6 +267,40 @@ Status Assign(Result<T> got, T* out) {
 }
 
 template <typename T>
+Status GetField(Reader* r, T* out);
+
+// std::map, std::set and FlatSet64: a count, then strictly ascending keys
+// (each followed by its value in a map).
+template <typename T>
+Status GetKeyed(Reader* r, T* out) {
+  using Key = typename T::key_type;
+  auto n = r->GetVarint();
+  if (!n.ok()) return n.status();
+  EDGELET_RETURN_NOT_OK(r->CheckCount(*n, kMinBytes<Key>));
+  T got;
+  Key prev{};
+  for (uint64_t i = 0; i < *n; ++i) {
+    Key key{};
+    EDGELET_RETURN_NOT_OK(GetField(r, &key));
+    if (i > 0 && !(prev < key)) {
+      return Status::Corruption("keys not strictly ascending");
+    }
+    prev = key;
+    if constexpr (kIs<T, std::map>) {
+      typename T::mapped_type value;
+      EDGELET_RETURN_NOT_OK(GetField(r, &value));
+      got.emplace_hint(got.end(), std::move(key), std::move(value));
+    } else if constexpr (kIs<T, std::set>) {
+      got.emplace_hint(got.end(), std::move(key));
+    } else {
+      got.Insert(key);
+    }
+  }
+  *out = std::move(got);
+  return Status::OK();
+}
+
+template <typename T>
 Status GetField(Reader* r, T* out) {
   if constexpr (std::is_same_v<T, bool>) {
     return Assign(r->GetBool(), out);
@@ -226,6 +308,15 @@ Status GetField(Reader* r, T* out) {
     return Assign(r->GetU32(), out);
   } else if constexpr (std::is_same_v<T, uint64_t>) {
     return Assign(r->GetU64(), out);
+  } else if constexpr (std::is_same_v<T, int>) {
+    auto v = r->GetVarint();
+    if (!v.ok()) return v.status();
+    if (*v > static_cast<uint64_t>(INT_MAX)) {
+      return Status::Corruption("int " + std::to_string(*v) +
+                                " above INT_MAX");
+    }
+    *out = static_cast<int>(*v);
+    return Status::OK();
   } else if constexpr (std::is_enum_v<T>) {
     auto tag = r->GetU8();
     if (!tag.ok()) return tag.status();
@@ -237,20 +328,30 @@ Status GetField(Reader* r, T* out) {
     return Status::OK();
   } else if constexpr (std::is_same_v<T, Bytes>) {
     return Assign(r->GetBytes(), out);
-  } else if constexpr (kIsVector<T>) {
+  } else if constexpr (kIs<T, std::vector>) {
     auto n = r->GetVarint();
     if (!n.ok()) return n.status();
-    EDGELET_RETURN_NOT_OK(r->CheckCount(*n));
+    EDGELET_RETURN_NOT_OK(
+        r->CheckCount(*n, kMinBytes<typename T::value_type>));
     out->clear();
     out->reserve(*n);
     for (uint64_t i = 0; i < *n; ++i) {
       EDGELET_RETURN_NOT_OK(GetField(r, &out->emplace_back()));
     }
     return Status::OK();
+  } else if constexpr (kIs<T, std::pair>) {
+    EDGELET_RETURN_NOT_OK(GetField(r, &out->first));
+    return GetField(r, &out->second);
+  } else if constexpr (kIs<T, std::map> || kIs<T, std::set> ||
+                       std::is_same_v<T, FlatSet64>) {
+    return GetKeyed(r, out);
+  } else if constexpr (kIs<T, Guarded>) {
+    return out->flag ? GetField(r, &out->value) : Status::OK();
   } else if constexpr (Record<T>) {
     Status st;
+    auto fields = T::Fields(*out);
     std::apply([&](auto&... f) { ((st = GetField(r, &f)).ok() && ...); },
-               T::Fields(*out));
+               fields);
     return st;
   } else {
     return Assign(T::Deserialize(r), out);
