@@ -16,24 +16,13 @@ CombinerActor::CombinerActor(net::Transport* net, device::Device* dev,
   replica_->set_on_promote([this]() { EmitPending(); });
   if (config_.repair.enabled) {
     controller_ = std::make_unique<RepairController>(net, dev, config_.repair);
-    controller_->set_done([this]() { return result_ready_; });
+    controller_->set_done([this]() { return state_.result_ready; });
   }
 }
 
 void CombinerActor::Start() {
-  if (!config_.resume_state.empty()) {
-    if (!RestoreState(config_.resume_state).ok()) {
-      // Undecodable resume state: start fresh rather than wedge.
-      partitions_.clear();
-      complete_order_.clear();
-      km_aligned_.clear();
-      km_stats_ = ClusterStats();
-      km_partitions_seen_.clear();
-      merged_partitions_.clear();
-      result_ready_ = emitted_ = false;
-    }
-    combining_ = false;  // any in-flight combine died with the old boot
-  }
+  // A resume state that fails to restore leaves the actor fresh.
+  if (!config_.resume_state.empty()) (void)RestoreState(config_.resume_state);
   replica_->Start();
   if (controller_ != nullptr) controller_->Start();
   if (config_.emit_at != kSimTimeNever) {
@@ -42,7 +31,7 @@ void CombinerActor::Start() {
     At(std::max(config_.emit_at, net()->now()), [this]() { OnEmitTimer(); });
   }
   if (!config_.resume_state.empty()) {
-    if (result_ready_) {
+    if (state_.result_ready) {
       // The durable result survives the crash; re-deliver (querier dedups).
       if (config_.active_emit || replica_->is_leader()) EmitWithResends();
     } else {
@@ -51,127 +40,33 @@ void CombinerActor::Start() {
   }
 }
 
-Bytes CombinerActor::SerializeState() const {
-  Writer w;
-  // GS accumulation.
-  w.PutVarint(partitions_.size());
-  for (const auto& [p, state] : partitions_) {
-    w.PutU32(p);
-    w.PutBool(state.complete);
-    w.PutVarint(state.by_vgroup.size());
-    for (const auto& [vg, epoch_partial] : state.by_vgroup) {
-      w.PutU32(vg);
-      w.PutU32(epoch_partial.first);
-      epoch_partial.second.Serialize(&w);
-    }
-  }
-  w.PutVarint(complete_order_.size());
-  for (uint32_t p : complete_order_) w.PutU32(p);
-  // KM accumulation.
-  w.PutVarint(km_aligned_.size());
-  for (const auto& k : km_aligned_) k.Serialize(&w);
-  km_stats_.Serialize(&w);
-  w.PutVarint(km_partitions_seen_.size());
-  for (const auto& [p, seen] : km_partitions_seen_) w.PutU32(p);
-  // Result provenance + pending result.
-  w.PutVarint(merged_partitions_.size());
-  for (const auto& [p, epochs] : merged_partitions_) {
-    w.PutU32(p);
-    w.PutVarint(epochs.size());
-    for (uint32_t e : epochs) w.PutU32(e);
-  }
-  w.PutBool(result_ready_);
-  w.PutBool(emitted_);
-  if (result_ready_) pending_result_.Serialize(&w);
-  return w.Take();
-}
+Bytes CombinerActor::SerializeState() const { return wire::Encode(state_); }
 
-Status CombinerActor::RestoreState(const Bytes& state) {
-  Reader r(state);
-  std::map<uint32_t, PartitionState> partitions;
-  auto np = r.GetVarint();
-  if (!np.ok()) return np.status();
-  for (uint64_t i = 0; i < *np; ++i) {
-    auto p = r.GetU32();
-    if (!p.ok()) return p.status();
-    PartitionState ps;
-    auto complete = r.GetBool();
-    if (!complete.ok()) return complete.status();
-    ps.complete = *complete;
-    auto nv = r.GetVarint();
-    if (!nv.ok()) return nv.status();
-    for (uint64_t j = 0; j < *nv; ++j) {
-      auto vg = r.GetU32();
-      if (!vg.ok()) return vg.status();
-      auto epoch = r.GetU32();
-      if (!epoch.ok()) return epoch.status();
-      auto partial = query::GroupingSetsResult::Deserialize(&r);
-      if (!partial.ok()) return partial.status();
-      ps.by_vgroup.emplace(*vg, std::make_pair(*epoch, std::move(*partial)));
-    }
-    partitions.emplace(*p, std::move(ps));
+Status CombinerActor::RestoreState(const Bytes& bytes) {
+  auto state = wire::Decode<State>(bytes);
+  if (!state.ok()) return state.status();
+  // What OnGsPartial and EvictPoisonedPartition keep: CombineAndEmitGs
+  // indexes epochs by vgroup and merges complete_order as it stands.
+  bool ok = true;
+  for (const auto& [p, ps] : state->partitions) {
+    ok = ok &&
+         (config_.total_partitions == 0 ||
+          p < static_cast<uint32_t>(config_.total_partitions)) &&
+         (ps.by_vgroup.empty() ||
+          ps.by_vgroup.rbegin()->first < config_.num_vgroups) &&
+         (!ps.complete || ps.by_vgroup.size() == config_.num_vgroups);
   }
-  std::vector<uint32_t> complete_order;
-  auto no = r.GetVarint();
-  if (!no.ok()) return no.status();
-  for (uint64_t i = 0; i < *no; ++i) {
-    auto p = r.GetU32();
-    if (!p.ok()) return p.status();
-    complete_order.push_back(*p);
+  std::set<uint32_t> ordered;
+  for (uint32_t p : state->complete_order) {
+    auto it = state->partitions.find(p);
+    ok = ok && it != state->partitions.end() && it->second.complete &&
+         ordered.insert(p).second;
   }
-  std::vector<ml::KMeansKnowledge> km_aligned;
-  auto nk = r.GetVarint();
-  if (!nk.ok()) return nk.status();
-  for (uint64_t i = 0; i < *nk; ++i) {
-    auto k = ml::KMeansKnowledge::Deserialize(&r);
-    if (!k.ok()) return k.status();
-    km_aligned.push_back(std::move(*k));
+  if (!ok) {
+    return Status::Corruption("restored combiner state breaks a handler "
+                              "invariant");
   }
-  auto km_stats = ClusterStats::Deserialize(&r);
-  if (!km_stats.ok()) return km_stats.status();
-  std::map<uint32_t, bool> km_seen;
-  auto nseen = r.GetVarint();
-  if (!nseen.ok()) return nseen.status();
-  for (uint64_t i = 0; i < *nseen; ++i) {
-    auto p = r.GetU32();
-    if (!p.ok()) return p.status();
-    km_seen[*p] = true;
-  }
-  std::vector<std::pair<uint32_t, std::vector<uint32_t>>> merged;
-  auto nm = r.GetVarint();
-  if (!nm.ok()) return nm.status();
-  for (uint64_t i = 0; i < *nm; ++i) {
-    auto p = r.GetU32();
-    if (!p.ok()) return p.status();
-    auto ne = r.GetVarint();
-    if (!ne.ok()) return ne.status();
-    std::vector<uint32_t> epochs;
-    for (uint64_t j = 0; j < *ne; ++j) {
-      auto e = r.GetU32();
-      if (!e.ok()) return e.status();
-      epochs.push_back(*e);
-    }
-    merged.emplace_back(*p, std::move(epochs));
-  }
-  auto result_ready = r.GetBool();
-  if (!result_ready.ok()) return result_ready.status();
-  auto emitted = r.GetBool();
-  if (!emitted.ok()) return emitted.status();
-  data::Table pending;
-  if (*result_ready) {
-    auto t = data::Table::Deserialize(&r);
-    if (!t.ok()) return t.status();
-    pending = std::move(*t);
-  }
-  partitions_ = std::move(partitions);
-  complete_order_ = std::move(complete_order);
-  km_aligned_ = std::move(km_aligned);
-  km_stats_ = std::move(*km_stats);
-  km_partitions_seen_ = std::move(km_seen);
-  merged_partitions_ = std::move(merged);
-  result_ready_ = *result_ready;
-  emitted_ = *emitted;
-  pending_result_ = std::move(pending);
+  state_ = std::move(*state);
   return Status::OK();
 }
 
@@ -234,7 +129,7 @@ void CombinerActor::OnGsPartial(const net::Message& msg) {
   // Keep accepting partials while a combine is in flight (combining_):
   // if that combine fails, a spare partition that arrived meanwhile is
   // exactly what the retry needs.
-  if (result_ready_) return;
+  if (state_.result_ready) return;
   if (!OpenSealed(msg).ok()) return;
   auto partial = GsPartialMsg::Decode(opened_payload());
   if (!partial.ok() || partial->query_id != config_.query_id) return;
@@ -255,7 +150,7 @@ void CombinerActor::OnGsPartial(const net::Message& msg) {
     return;
   }
 
-  PartitionState& state = partitions_[partial->partition];
+  PartitionState& state = state_.partitions[partial->partition];
   if (state.complete) return;
   if (state.by_vgroup.count(partial->vgroup)) return;  // duplicate
   state.by_vgroup.emplace(
@@ -268,12 +163,12 @@ void CombinerActor::OnGsPartial(const net::Message& msg) {
 
   if (state.by_vgroup.size() == config_.num_vgroups) {
     state.complete = true;
-    complete_order_.push_back(partial->partition);
+    state_.complete_order.push_back(partial->partition);
     if (config_.trace != nullptr) {
       config_.trace->Record(
           now(), TraceEventKind::kPartitionComplete, dev()->id(),
           static_cast<int>(partial->partition), -1,
-          std::to_string(complete_order_.size()) + "/" +
+          std::to_string(state_.complete_order.size()) + "/" +
               std::to_string(config_.n_needed) + " needed");
     }
     MaybeCombineGs();
@@ -284,12 +179,14 @@ void CombinerActor::OnGsPartial(const net::Message& msg) {
 }
 
 void CombinerActor::MaybeCombineGs() {
-  if (combining_ || result_ready_) return;
-  if (static_cast<int>(complete_order_.size()) < config_.n_needed) return;
+  if (combining_ || state_.result_ready) return;
+  if (static_cast<int>(state_.complete_order.size()) < config_.n_needed) {
+    return;
+  }
   combining_ = true;
   // Merging n partitions' partials costs time proportional to their group
   // count; approximate with one quota's worth of work.
-  After(dev()->ComputeCost(complete_order_.size() * 16),
+  After(dev()->ComputeCost(state_.complete_order.size() * 16),
         [this]() { CombineAndEmitGs(); });
 }
 
@@ -299,10 +196,10 @@ void CombinerActor::CombineAndEmitGs() {
   // accumulator would adopt whatever spec it merges first, misattributing
   // the failure to the honest partitions that follow).
   query::GroupingSetsResult acc(config_.gs_spec);
-  merged_partitions_.clear();
+  state_.merged_partitions.clear();
   for (int i = 0; i < config_.n_needed; ++i) {
-    uint32_t p = complete_order_[i];
-    const PartitionState& state = partitions_[p];
+    uint32_t p = state_.complete_order[i];
+    const PartitionState& state = state_.partitions[p];
     std::vector<uint32_t> epochs(config_.num_vgroups, 0);
     for (const auto& [vg, epoch_partial] : state.by_vgroup) {
       epochs[vg] = epoch_partial.first;
@@ -313,7 +210,7 @@ void CombinerActor::CombineAndEmitGs() {
         return;
       }
     }
-    merged_partitions_.emplace_back(p, std::move(epochs));
+    state_.merged_partitions.emplace_back(p, std::move(epochs));
   }
   auto table = acc.Finalize();
   if (!table.ok()) {
@@ -321,11 +218,11 @@ void CombinerActor::CombineAndEmitGs() {
                         << table.status().ToString();
     // Finalize cannot name a culprit; evict the most recently completed of
     // the merged partitions and retry with whatever replaces it.
-    EvictPoisonedPartition(complete_order_[config_.n_needed - 1]);
+    EvictPoisonedPartition(state_.complete_order[config_.n_needed - 1]);
     return;
   }
-  pending_result_ = std::move(*table);
-  result_ready_ = true;
+  state_.pending_result = std::move(*table);
+  state_.result_ready = true;
   MaybeCheckpoint(/*critical=*/true);
   if (config_.active_emit || replica_->is_leader()) {
     EmitWithResends();
@@ -340,13 +237,11 @@ void CombinerActor::EvictPoisonedPartition(uint32_t partition) {
   // with the remaining complete partitions plus any spare.
   EDGELET_LOG(kWarning) << "combiner: evicting poisoned partition "
                         << partition << ", "
-                        << (complete_order_.size() - 1)
+                        << (state_.complete_order.size() - 1)
                         << " complete partitions remain";
-  partitions_.erase(partition);
-  complete_order_.erase(
-      std::remove(complete_order_.begin(), complete_order_.end(), partition),
-      complete_order_.end());
-  merged_partitions_.clear();
+  state_.partitions.erase(partition);
+  std::erase(state_.complete_order, partition);
+  state_.merged_partitions.clear();
   combining_ = false;
   if (config_.trace != nullptr) {
     config_.trace->Record(now(), TraceEventKind::kPartitionComplete,
@@ -357,7 +252,7 @@ void CombinerActor::EvictPoisonedPartition(uint32_t partition) {
 }
 
 void CombinerActor::EmitPending() {
-  if (result_ready_ && !emitted_) EmitWithResends();
+  if (state_.result_ready && !state_.emitted) EmitWithResends();
 }
 
 void CombinerActor::OnEmitTimer() {
@@ -369,26 +264,26 @@ void CombinerActor::OnEmitTimer() {
 }
 
 void CombinerActor::OnKmFinal(const net::Message& msg) {
-  if (result_ready_) return;
+  if (state_.result_ready) return;
   if (!OpenSealed(msg).ok()) return;
   auto report = KmFinalMsg::Decode(opened_payload());
   if (!report.ok() || report->query_id != config_.query_id) return;
-  if (km_partitions_seen_.count(report->partition)) return;
-  km_partitions_seen_[report->partition] = true;
-  merged_partitions_.emplace_back(report->partition,
+  if (!state_.km_partitions_seen.insert(report->partition).second) return;
+  state_.merged_partitions.emplace_back(report->partition,
                                   std::vector<uint32_t>{0});
 
-  if (km_aligned_.empty()) {
-    km_aligned_.push_back(std::move(report->knowledge));
-    km_stats_ = std::move(report->stats);
+  if (state_.km_aligned.empty()) {
+    state_.km_aligned.push_back(std::move(report->knowledge));
+    state_.km_stats = std::move(report->stats);
     return;
   }
-  auto perm = ml::AlignCentroids(km_aligned_[0].centroids,
+  auto perm = ml::AlignCentroids(state_.km_aligned[0].centroids,
                                  report->knowledge.centroids);
   if (!perm.ok()) return;
-  km_aligned_.push_back(ml::PermuteKnowledge(report->knowledge, *perm));
+  state_.km_aligned.push_back(
+      ml::PermuteKnowledge(report->knowledge, *perm));
   report->stats.Permute(*perm);
-  Status s = km_stats_.MergeFrom(report->stats);
+  Status s = state_.km_stats.MergeFrom(report->stats);
   if (!s.ok()) {
     EDGELET_LOG(kWarning) << "cluster stats merge failed: " << s.ToString();
   }
@@ -396,8 +291,9 @@ void CombinerActor::OnKmFinal(const net::Message& msg) {
 }
 
 void CombinerActor::CombineAndEmitKm() {
-  if (km_aligned_.empty()) return;  // nothing arrived: failed execution
-  auto merged = ml::MergeKnowledge(km_aligned_);
+  // Nothing arrived: a failed execution.
+  if (state_.km_aligned.empty()) return;
+  auto merged = ml::MergeKnowledge(state_.km_aligned);
   if (!merged.ok()) {
     EDGELET_LOG(kError) << "knowledge merge failed: "
                         << merged.status().ToString();
@@ -426,9 +322,9 @@ void CombinerActor::CombineAndEmitKm() {
     row.emplace_back(static_cast<int64_t>(merged->counts[c]));
     for (double coord : merged->centroids[c]) row.emplace_back(coord);
     for (size_t a = 0; a < config_.km_spec.cluster_aggregates.size(); ++a) {
-      if (c < km_stats_.per_cluster.size() &&
-          a < km_stats_.per_cluster[c].size()) {
-        row.push_back(km_stats_.per_cluster[c][a].Finalize(
+      if (c < state_.km_stats.per_cluster.size() &&
+          a < state_.km_stats.per_cluster[c].size()) {
+        row.push_back(state_.km_stats.per_cluster[c][a].Finalize(
             config_.km_spec.cluster_aggregates[a]));
       } else {
         row.push_back(data::Value::Null());
@@ -436,8 +332,8 @@ void CombinerActor::CombineAndEmitKm() {
     }
     table.AppendUnchecked(std::move(row));
   }
-  pending_result_ = std::move(table);
-  result_ready_ = true;
+  state_.pending_result = std::move(table);
+  state_.result_ready = true;
   MaybeCheckpoint(/*critical=*/true);
   if (config_.active_emit || replica_->is_leader()) {
     EmitWithResends();
@@ -445,13 +341,14 @@ void CombinerActor::CombineAndEmitKm() {
 }
 
 void CombinerActor::EmitWithResends() {
-  SendResult(pending_result_);
+  SendResult(state_.pending_result);
   ScheduleResends(config_.result_resends, config_.resend_interval, [this]() {
     // A standby that yielded leadership between scheduling and firing must
     // go quiet even with a result pending — otherwise both the new leader
     // and the ex-leader keep emitting duplicates.
-    if (result_ready_ && (config_.active_emit || replica_->is_leader())) {
-      SendResult(pending_result_);
+    if (state_.result_ready &&
+        (config_.active_emit || replica_->is_leader())) {
+      SendResult(state_.pending_result);
     }
   });
 }
@@ -459,20 +356,20 @@ void CombinerActor::EmitWithResends() {
 void CombinerActor::SendResult(const data::Table& table) {
   FinalResultMsg msg;
   msg.query_id = config_.query_id;
-  for (const auto& [p, vgroup_epochs] : merged_partitions_) {
+  for (const auto& [p, vgroup_epochs] : state_.merged_partitions) {
     msg.partitions.push_back(p);
     msg.epochs.insert(msg.epochs.end(), vgroup_epochs.begin(),
                       vgroup_epochs.end());
   }
   msg.result = table;
   SealAndSendAll(config_.querier_targets, kFinalResult, msg.Encode());
-  if (!emitted_ && config_.trace != nullptr) {
+  if (!state_.emitted && config_.trace != nullptr) {
     config_.trace->Record(now(), TraceEventKind::kResultEmitted,
                           dev()->id(), -1, -1,
-                          std::to_string(merged_partitions_.size()) +
+                          std::to_string(state_.merged_partitions.size()) +
                               " partitions merged");
   }
-  emitted_ = true;
+  state_.emitted = true;
 }
 
 }  // namespace edgelet::exec

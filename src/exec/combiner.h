@@ -3,6 +3,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 
 #include "exec/actor.h"
 #include "exec/repair.h"
@@ -74,16 +75,17 @@ class CombinerActor : public OperatorActor {
 
   void Start() override;
 
-  bool emitted() const { return emitted_; }
-  size_t partitions_complete() const { return complete_order_.size(); }
+  bool emitted() const { return state_.emitted; }
+  size_t partitions_complete() const { return state_.complete_order.size(); }
   bool replica_is_leader() const { return replica_->is_leader(); }
   // Null unless this instance hosts the repair controller.
   const RepairController* repair_controller() const {
     return controller_.get();
   }
 
-  // K-Means alignment state and GS partials are both covered; the repair
-  // controller's chains are deliberately volatile (see resume_state).
+  // State's field list: K-Means alignment state and GS partials are both
+  // covered; the repair controller's chains are deliberately volatile (see
+  // resume_state).
   Bytes SerializeState() const override;
 
  protected:
@@ -98,6 +100,36 @@ class CombinerActor : public OperatorActor {
     std::map<uint32_t, std::pair<uint32_t, query::GroupingSetsResult>>
         by_vgroup;  // vgroup -> (epoch, partial)
     bool complete = false;
+
+    template <typename M>
+    static auto Fields(M& m) { return std::tie(m.complete, m.by_vgroup); }
+  };
+
+  // Everything a checkpoint carries; the field list is its layout.
+  struct State {
+    // GS accumulation.
+    std::map<uint32_t, PartitionState> partitions;
+    std::vector<uint32_t> complete_order;
+    // KM accumulation: the first report anchors centroid indices; later
+    // reports align to it.
+    std::vector<ml::KMeansKnowledge> km_aligned;
+    ClusterStats km_stats;
+    std::set<uint32_t> km_partitions_seen;
+    // Partitions merged into the emitted result, with the epoch used per
+    // vertical group (flattened vgroup-major in FinalResultMsg::epochs).
+    std::vector<std::pair<uint32_t, std::vector<uint32_t>>>
+        merged_partitions;
+    bool result_ready = false;
+    bool emitted = false;
+    data::Table pending_result;  // meaningful only once result_ready
+
+    template <typename M>
+    static auto Fields(M& m) {
+      return wire::Tie(m.partitions, m.complete_order, m.km_aligned,
+                       m.km_stats, m.km_partitions_seen, m.merged_partitions,
+                       m.result_ready, m.emitted,
+                       wire::If(m.result_ready, m.pending_result));
+    }
   };
 
   void OnGsPartial(const net::Message& msg);
@@ -113,29 +145,18 @@ class CombinerActor : public OperatorActor {
   void CombineAndEmitKm();
   void SendResult(const data::Table& table);
   void EmitWithResends();
-  Status RestoreState(const Bytes& state);
+  // Decodes a checkpoint and checks it keeps the handlers' invariants;
+  // state_ changes only if both pass.
+  Status RestoreState(const Bytes& bytes);
   void OnRecoveryHello(const net::Message& msg);
 
   Config config_;
   std::unique_ptr<ReplicaRole> replica_;
   std::unique_ptr<RepairController> controller_;
 
-  // GS state.
-  std::map<uint32_t, PartitionState> partitions_;
-  std::vector<uint32_t> complete_order_;
+  State state_;
+  // A GS combine is scheduled; volatile, as the combine dies with a crash.
   bool combining_ = false;
-
-  // KM state: first report anchors centroid indices; later reports align.
-  std::vector<ml::KMeansKnowledge> km_aligned_;
-  ClusterStats km_stats_;
-  std::map<uint32_t, bool> km_partitions_seen_;
-  // Partitions merged into the emitted result, with the epoch used per
-  // vertical group (flattened vgroup-major in FinalResultMsg::epochs).
-  std::vector<std::pair<uint32_t, std::vector<uint32_t>>> merged_partitions_;
-
-  bool result_ready_ = false;
-  data::Table pending_result_;
-  bool emitted_ = false;
 };
 
 }  // namespace edgelet::exec

@@ -41,12 +41,8 @@ ComputerActor::ComputerActor(net::Transport* net, device::Device* dev,
 
 void ComputerActor::Start() {
   if (!config_.resume_state.empty()) {
-    if (!RestoreState(config_.resume_state).ok()) {
-      // Undecodable resume state: start fresh rather than wedge.
-      have_slice_ = output_sent_ = km_initialized_ = false;
-      slice_ = WholeView(data::ColumnTable());
-      knowledge_ = ml::KMeansKnowledge();
-    }
+    // A resume state that fails to restore leaves the actor fresh.
+    (void)RestoreState(config_.resume_state);
     if (have_slice_ && config_.mode == Mode::kKMeans) {
       // Points derive from the durable slice; no need to persist them.
       auto points = ml::ExtractPoints(slice_, config_.km_spec.features);
@@ -74,44 +70,33 @@ void ComputerActor::Start() {
 }
 
 Bytes ComputerActor::SerializeState() const {
+  // State's field list over the live members: the slice is written in
+  // place, not copied.
+  struct {
+    const bool& have_slice;
+    const bool& output_sent;
+    const uint32_t& slice_epoch;
+    const data::ColumnTable& slice;
+    const bool& km_initialized;
+    const ml::KMeansKnowledge& knowledge;
+    const int& rounds_with_peer_input;
+  } live{have_slice_,     output_sent_, slice_epoch_, slice_.store(),
+         km_initialized_, knowledge_,   rounds_with_peer_input_};
   Writer w;
-  w.PutBool(have_slice_);
-  w.PutBool(output_sent_);
-  w.PutU32(slice_epoch_);
-  slice_.store().Serialize(&w);
-  w.PutBool(km_initialized_);
-  if (km_initialized_) knowledge_.Serialize(&w);
-  w.PutVarint(static_cast<uint64_t>(rounds_with_peer_input_));
+  wire::PutFields(&w, State::Fields(live));
   return w.Take();
 }
 
-Status ComputerActor::RestoreState(const Bytes& state) {
-  Reader r(state);
-  auto have_slice = r.GetBool();
-  if (!have_slice.ok()) return have_slice.status();
-  auto output_sent = r.GetBool();
-  if (!output_sent.ok()) return output_sent.status();
-  auto epoch = r.GetU32();
-  if (!epoch.ok()) return epoch.status();
-  auto slice = data::ColumnTable::Deserialize(&r);
-  if (!slice.ok()) return slice.status();
-  auto km_init = r.GetBool();
-  if (!km_init.ok()) return km_init.status();
-  ml::KMeansKnowledge knowledge;
-  if (*km_init) {
-    auto k = ml::KMeansKnowledge::Deserialize(&r);
-    if (!k.ok()) return k.status();
-    knowledge = std::move(*k);
-  }
-  auto rounds = r.GetVarint();
-  if (!rounds.ok()) return rounds.status();
-  have_slice_ = *have_slice;
-  output_sent_ = *output_sent;
-  slice_epoch_ = *epoch;
-  slice_ = WholeView(std::move(*slice));
-  km_initialized_ = *km_init;
-  knowledge_ = std::move(knowledge);
-  rounds_with_peer_input_ = static_cast<int>(*rounds);
+Status ComputerActor::RestoreState(const Bytes& bytes) {
+  auto state = wire::Decode<State>(bytes);
+  if (!state.ok()) return state.status();
+  have_slice_ = state->have_slice;
+  output_sent_ = state->output_sent;
+  slice_epoch_ = state->slice_epoch;
+  slice_ = WholeView(std::move(state->slice));
+  km_initialized_ = state->km_initialized;
+  knowledge_ = std::move(state->knowledge);
+  rounds_with_peer_input_ = state->rounds_with_peer_input;
   return Status::OK();
 }
 

@@ -74,9 +74,9 @@ class ComputerActor : public OperatorActor {
   int rounds_with_peer_input() const { return rounds_with_peer_input_; }
   uint32_t slice_epoch() const { return slice_epoch_; }
 
-  // The K-Means inbox and round-dedup map are deliberately volatile: peer
-  // knowledge lost in a crash is re-integrated from later rounds'
-  // broadcasts, the same degradation as a lossy link.
+  // State's field list. The K-Means inbox and round-dedup map are
+  // deliberately volatile: peer knowledge lost in a crash is re-integrated
+  // from later rounds' broadcasts, the same degradation as a lossy link.
   Bytes SerializeState() const override;
   uint32_t checkpoint_epoch() const override { return slice_epoch_; }
 
@@ -84,11 +84,31 @@ class ComputerActor : public OperatorActor {
   void HandleMessage(const net::Message& msg) override;
 
  private:
+  // What a checkpoint carries; the field list is its layout.
+  struct State {
+    bool have_slice = false;
+    bool output_sent = false;
+    uint32_t slice_epoch = 0;
+    data::ColumnTable slice;
+    bool km_initialized = false;
+    ml::KMeansKnowledge knowledge;  // present only when km_initialized
+    int rounds_with_peer_input = 0;
+
+    template <typename M>
+    static auto Fields(M& m) {
+      return wire::Tie(m.have_slice, m.output_sent, m.slice_epoch, m.slice,
+                       m.km_initialized,
+                       wire::If(m.km_initialized, m.knowledge),
+                       m.rounds_with_peer_input);
+    }
+  };
+
   void OnSlice(const net::Message& msg);
   void ComputeAndEmitGs();
   void EmitGs();
   void EmitGsWithResends();
-  Status RestoreState(const Bytes& state);
+  // Decodes a checkpoint; the members change only on success.
+  Status RestoreState(const Bytes& bytes);
   void Heartbeat(int round);
   void SyncPhase();
   void LocalPhase();

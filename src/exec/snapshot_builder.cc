@@ -24,88 +24,41 @@ SnapshotBuilderActor::SnapshotBuilderActor(net::Transport* net,
     }
     // Taking over: if the snapshot is ready, (re-)emit it under this
     // replica's epoch so downstream consumers get a consistent slice.
-    if (complete_) EmitSliceWithResends();
+    if (state_.complete) EmitSliceWithResends();
   });
 }
 
 void SnapshotBuilderActor::Start() {
-  if (!config_.resume_state.empty()) {
-    if (!RestoreState(config_.resume_state).ok()) {
-      // Undecodable resume state: start fresh rather than wedge. The
-      // store's integrity checks make this unreachable in practice.
-      buffer_ = data::ColumnTable();
-      complete_ = emitted_ = false;
-      schema_bytes_.clear();
-      included_.clear();
-      seen_contributors_.Clear();
-    }
-  }
+  // A resume state that fails to restore leaves the actor fresh.
+  if (!config_.resume_state.empty()) (void)RestoreState(config_.resume_state);
   replica_->Start();
   StartBeacon(config_.liveness);
-  if (complete_ && replica_->is_leader()) {
+  if (state_.complete && replica_->is_leader()) {
     // Resumed past completion: re-emit the durable slice — the computer
     // may never have received it (crash between checkpoint and send), and
     // dedups it if it did.
-    After(dev()->ComputeCost(buffer_.num_rows()),
+    After(dev()->ComputeCost(state_.buffer.num_rows()),
           [this]() { EmitSliceWithResends(); });
   }
 }
 
 Bytes SnapshotBuilderActor::SerializeState() const {
-  Writer w;
-  w.PutBool(!schema_bytes_.empty());
-  w.PutBool(complete_);
-  w.PutBool(emitted_);
-  buffer_.Serialize(&w);
-  w.PutVarint(included_.size());
-  for (uint64_t k : included_) w.PutU64(k);
-  std::vector<uint64_t> seen = seen_contributors_.Keys();
-  std::sort(seen.begin(), seen.end());
-  w.PutVarint(seen.size());
-  for (uint64_t k : seen) w.PutU64(k);
-  return w.Take();
+  return wire::Encode(state_);
 }
 
-Status SnapshotBuilderActor::RestoreState(const Bytes& state) {
-  Reader r(state);
-  auto have_schema = r.GetBool();
-  if (!have_schema.ok()) return have_schema.status();
-  auto complete = r.GetBool();
-  if (!complete.ok()) return complete.status();
-  auto emitted = r.GetBool();
-  if (!emitted.ok()) return emitted.status();
-  auto buffer = data::ColumnTable::Deserialize(&r);
-  if (!buffer.ok()) return buffer.status();
-  std::vector<uint64_t> included;
-  auto ni = r.GetVarint();
-  if (!ni.ok()) return ni.status();
-  EDGELET_RETURN_NOT_OK(r.CheckCount(*ni, sizeof(uint64_t)));
-  included.reserve(*ni);
-  for (uint64_t i = 0; i < *ni; ++i) {
-    auto k = r.GetU64();
-    if (!k.ok()) return k.status();
-    included.push_back(*k);
+Status SnapshotBuilderActor::RestoreState(const Bytes& bytes) {
+  auto state = wire::Decode<State>(bytes);
+  if (!state.ok()) return state.status();
+  // What OnContribution keeps: one key per buffered row, no more rows
+  // than the quota, and rows only under a fixed schema.
+  const uint64_t rows = state->buffer.num_rows();
+  if (state->included.size() != rows || rows > config_.quota ||
+      (rows > 0 && !state->have_schema)) {
+    return Status::Corruption("restored buffer breaks a handler invariant");
   }
-  FlatSet64 seen;
-  auto ns = r.GetVarint();
-  if (!ns.ok()) return ns.status();
-  EDGELET_RETURN_NOT_OK(r.CheckCount(*ns, sizeof(uint64_t)));
-  for (uint64_t i = 0; i < *ns; ++i) {
-    auto k = r.GetU64();
-    if (!k.ok()) return k.status();
-    seen.Insert(*k);
-  }
-  complete_ = *complete;
-  emitted_ = *emitted;
-  buffer_ = std::move(*buffer);
-  included_ = std::move(included);
-  seen_contributors_ = std::move(seen);
+  state_ = std::move(*state);
   // Later contributions are checked against the restored schema's bytes.
-  if (*have_schema) {
-    CacheSchemaBytes();
-  } else {
-    schema_bytes_.clear();
-  }
+  if (state_.have_schema) CacheSchemaBytes();
   return Status::OK();
 }
 
@@ -125,7 +78,8 @@ void SnapshotBuilderActor::HandleMessage(const net::Message& msg) {
 }
 
 void SnapshotBuilderActor::OnContribution(const net::Message& msg) {
-  if (complete_) return;  // quota reached: later contributions are ignored
+  // Quota reached: later contributions are ignored.
+  if (state_.complete) return;
   if (!OpenSealed(msg).ok()) return;
   // The ContributionMsg layout, read in place: header, then the schema
   // and row sections straight into the buffer.
@@ -136,57 +90,60 @@ void SnapshotBuilderActor::OnContribution(const net::Message& msg) {
   if (!key.ok()) return;
   // Idempotence: a contributor that re-sends (store-and-forward replays)
   // is only counted once.
-  if (seen_contributors_.Contains(*key)) return;
-  const size_t rows_before = buffer_.num_rows();
+  if (state_.seen_contributors.Contains(*key)) return;
+  const size_t rows_before = state_.buffer.num_rows();
   auto contributed_rows = DecodeRowsIntoBuffer(&r);
   if (!contributed_rows.ok()) return;
-  seen_contributors_.Insert(*key);
-  included_.insert(included_.end(), buffer_.num_rows() - rows_before, *key);
+  state_.seen_contributors.Insert(*key);
+  state_.included.insert(state_.included.end(),
+                         state_.buffer.num_rows() - rows_before, *key);
   // Raw cleartext data is now inside this enclave: exposure accounting.
   dev()->enclave().RecordClearTextTuples(*contributed_rows,
-                                         buffer_.schema().num_columns());
+                                         state_.buffer.schema().num_columns());
   MaybeEmit();
   // Quota completion is a phase transition the store must not lose.
-  MaybeCheckpoint(/*critical=*/complete_);
+  MaybeCheckpoint(/*critical=*/state_.complete);
 }
 
 Result<uint64_t> SnapshotBuilderActor::DecodeRowsIntoBuffer(Reader* r) {
   const uint64_t room =
-      config_.quota - std::min<uint64_t>(config_.quota, buffer_.num_rows());
-  if (!schema_bytes_.empty()) {
+      config_.quota -
+      std::min<uint64_t>(config_.quota, state_.buffer.num_rows());
+  if (state_.have_schema) {
     if (!r->ConsumeIfEquals(schema_bytes_.data(), schema_bytes_.size())) {
       return Status::Corruption("contribution schema differs from the group's");
     }
-    return buffer_.AppendSerializedRows(r, room);
+    return state_.buffer.AppendSerializedRows(r, room);
   }
   auto schema = data::Schema::Deserialize(r);
   if (!schema.ok()) return schema.status();
   data::ColumnTable first(std::move(*schema));
   auto rows = first.AppendSerializedRows(r, room);
   if (!rows.ok()) return rows.status();
-  buffer_ = std::move(first);
+  state_.buffer = std::move(first);
+  state_.have_schema = true;
   CacheSchemaBytes();
   return rows;
 }
 
 void SnapshotBuilderActor::CacheSchemaBytes() {
   Writer w;
-  buffer_.schema().Serialize(&w);
+  state_.buffer.schema().Serialize(&w);
   schema_bytes_ = w.Take();
 }
 
 void SnapshotBuilderActor::MaybeEmit() {
-  if (complete_ || buffer_.num_rows() < config_.quota) return;
-  complete_ = true;
+  if (state_.complete || state_.buffer.num_rows() < config_.quota) return;
+  state_.complete = true;
   if (config_.trace != nullptr) {
     config_.trace->Record(now(), TraceEventKind::kSnapshotComplete,
                           dev()->id(), config_.partition, config_.vgroup,
-                          std::to_string(buffer_.num_rows()) + " tuples");
+                          std::to_string(state_.buffer.num_rows()) + " tuples");
   }
   if (replica_->is_leader()) {
     // Building the representative snapshot costs compute time on this
     // device class before the slice goes out.
-    After(dev()->ComputeCost(buffer_.num_rows()),
+    After(dev()->ComputeCost(state_.buffer.num_rows()),
           [this]() { EmitSliceWithResends(); });
   }
 }
@@ -201,7 +158,7 @@ void SnapshotBuilderActor::EmitSliceWithResends() {
 }
 
 void SnapshotBuilderActor::EmitSlice() {
-  emitted_ = true;
+  state_.emitted = true;
   if (config_.trace != nullptr) {
     config_.trace->Record(now(), TraceEventKind::kSliceEmitted,
                           dev()->id(), config_.partition, config_.vgroup);
@@ -210,7 +167,7 @@ void SnapshotBuilderActor::EmitSlice() {
                  SnapshotSliceMsg::EncodeFrom(config_.query_id,
                                               config_.partition,
                                               config_.vgroup, emit_epoch(),
-                                              buffer_));
+                                              state_.buffer));
   MaybeCheckpoint(/*critical=*/true);
 }
 

@@ -53,11 +53,11 @@ class SnapshotBuilderActor : public OperatorActor {
 
   void Start() override;
 
-  bool snapshot_complete() const { return complete_; }
-  uint64_t tuples_collected() const { return buffer_.num_rows(); }
+  bool snapshot_complete() const { return state_.complete; }
+  uint64_t tuples_collected() const { return state_.buffer.num_rows(); }
   // Contributor keys included in this builder's snapshot (validity audit).
   const std::vector<uint64_t>& included_contributors() const {
-    return included_;
+    return state_.included;
   }
   uint32_t rank() const { return replica_->rank(); }
   // The epoch this builder stamps on emitted slices (rank, unless a
@@ -68,7 +68,8 @@ class SnapshotBuilderActor : public OperatorActor {
                : replica_->rank();
   }
 
-  // Seen contributor keys are written in ascending order.
+  // State's field list; seen contributor keys are written in ascending
+  // order.
   Bytes SerializeState() const override;
   uint32_t checkpoint_epoch() const override { return emit_epoch(); }
 
@@ -76,32 +77,46 @@ class SnapshotBuilderActor : public OperatorActor {
   void HandleMessage(const net::Message& msg) override;
 
  private:
+  // What a checkpoint carries; the field list is its layout.
+  struct State {
+    // The first accepted contribution fixed the group's schema.
+    bool have_schema = false;
+    bool complete = false;
+    bool emitted = false;
+    data::ColumnTable buffer;
+    // The contributor key of each buffered row.
+    std::vector<uint64_t> included;
+    // Dedup of contributor keys.
+    FlatSet64 seen_contributors;
+
+    template <typename M>
+    static auto Fields(M& m) {
+      return std::tie(m.have_schema, m.complete, m.emitted, m.buffer,
+                      m.included, m.seen_contributors);
+    }
+  };
+
   void OnContribution(const net::Message& msg);
-  // Decodes a contribution's schema and row sections straight into
-  // buffer_, appending rows up to the quota; returns the contributed row
+  // Decodes a contribution's schema and row sections straight into the
+  // buffer, appending rows up to the quota; returns the contributed row
   // count. The first accepted contribution fixes the group's schema;
-  // every later one must carry exactly its serialized bytes. buffer_ is
-  // unchanged on error.
+  // every later one must carry exactly its serialized bytes. The buffer
+  // is unchanged on error.
   Result<uint64_t> DecodeRowsIntoBuffer(Reader* r);
-  // Derives schema_bytes_ from buffer_'s schema (after the first
+  // Derives schema_bytes_ from the buffer's schema (after the first
   // contribution, and after a restore).
   void CacheSchemaBytes();
   void MaybeEmit();
   void EmitSlice();
   void EmitSliceWithResends();
-  Status RestoreState(const Bytes& state);
+  // Decodes and checks a checkpoint; state_ changes only on success.
+  Status RestoreState(const Bytes& bytes);
 
   Config config_;
   std::unique_ptr<ReplicaRole> replica_;
-  data::ColumnTable buffer_;
-  // buffer_'s schema as contributions carry it; empty until the first
-  // contribution fixes the schema (a serialized schema is never empty).
+  State state_;
+  // The buffer's schema as contributions carry it, once have_schema.
   Bytes schema_bytes_;
-  bool complete_ = false;
-  bool emitted_ = false;
-  std::vector<uint64_t> included_;
-  // Dedup of contributor keys; sorted only when a checkpoint serializes it.
-  FlatSet64 seen_contributors_;
 };
 
 }  // namespace edgelet::exec
