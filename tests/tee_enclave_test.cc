@@ -7,6 +7,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 
@@ -236,6 +237,41 @@ TEST_F(EnclaveTest, PairwiseKeyIsSymmetricAcrossDirections) {
   }
   EXPECT_EQ(a.cached_pairwise_keys(), 1u);
   EXPECT_EQ(b.cached_pairwise_keys(), 1u);
+}
+
+// Pins the channel bytes (and the attestation MACs they hang on) for a low
+// and a high enclave id under the fixture's authority seed, in both
+// directions: any change to the report MAC, the pairwise-key derivation or
+// the AEAD shows up here.
+TEST_F(EnclaveTest, PairwiseChannelBytesArePinned) {
+  const uint64_t low_id = 7;
+  const uint64_t high_id = 0xFEDCBA9876543210ULL;
+  Enclave low = MakeEnclave(low_id);
+  Enclave high = MakeEnclave(high_id);
+  ASSERT_TRUE(low.Provision().ok());
+  ASSERT_TRUE(high.Provision().ok());
+  EXPECT_EQ(Fnv1a64(low.report().mac.data(), low.report().mac.size()),
+            0x6BFAF8997B3D3EA6ULL);
+  EXPECT_EQ(Fnv1a64(high.report().mac.data(), high.report().mac.size()),
+            0x4F4E9725D6BAB0D4ULL);
+
+  const Bytes aad = BytesFromString("from,to,type");
+  const Bytes msg = BytesFromString("partial aggregate: sum=123, count=5");
+  auto up = low.SealFor(high_id, 41, aad, msg);
+  ASSERT_TRUE(up.ok());
+  EXPECT_EQ(up->size(), 51u);
+  EXPECT_EQ(Fnv1a64(up->data(), up->size()), 0x19A39354B29A15D6ULL);
+  auto up_opened = high.OpenFrom(low_id, 41, aad, *up);
+  ASSERT_TRUE(up_opened.ok());
+  EXPECT_EQ(*up_opened, msg);
+
+  auto down = high.SealFor(low_id, 41, aad, msg);
+  ASSERT_TRUE(down.ok());
+  EXPECT_EQ(down->size(), 51u);
+  EXPECT_EQ(Fnv1a64(down->data(), down->size()), 0x20103AB590CDF918ULL);
+  auto down_opened = low.OpenFrom(high_id, 41, aad, *down);
+  ASSERT_TRUE(down_opened.ok());
+  EXPECT_EQ(*down_opened, msg);
 }
 
 TEST_F(EnclaveTest, ProvisionAndTamperEmptyTheKeyTable) {
