@@ -10,11 +10,18 @@ namespace edgelet::tee {
 
 namespace {
 
-Bytes ReportBody(uint64_t enclave_id, const Measurement& m) {
-  Writer w;
-  w.PutU64(enclave_id);
-  w.PutRaw(m.data(), m.size());
-  return w.Take();
+void StoreLe64(uint8_t* out, uint64_t v) {
+  for (size_t i = 0; i < 8; ++i) out[i] = static_cast<uint8_t>(v >> (8 * i));
+}
+
+// HMAC of the report body (enclave id, little-endian, then measurement)
+// under the authority's root key.
+crypto::Digest256 ReportMac(const crypto::HmacSha256Key& root,
+                            uint64_t enclave_id, const Measurement& m) {
+  uint8_t body[8 + sizeof(Measurement)];
+  StoreLe64(body, enclave_id);
+  std::memcpy(body + 8, m.data(), m.size());
+  return root.Mac(body, sizeof(body));
 }
 
 crypto::Key256 KeyFromBytes(const Bytes& b) {
@@ -30,6 +37,7 @@ TrustAuthority::TrustAuthority(uint64_t seed) {
   Rng rng(seed);
   root_key_.resize(32);
   for (auto& b : root_key_) b = static_cast<uint8_t>(rng.NextU64());
+  root_mac_ = crypto::HmacSha256Key(root_key_);
   Bytes gk(32);
   for (auto& b : gk) b = static_cast<uint8_t>(rng.NextU64());
   std::memcpy(group_key_.data(), gk.data(), group_key_.size());
@@ -40,14 +48,13 @@ AttestationReport TrustAuthority::Attest(uint64_t enclave_id,
   AttestationReport report;
   report.enclave_id = enclave_id;
   report.measurement = measurement;
-  Bytes body = ReportBody(enclave_id, measurement);
-  report.mac = crypto::HmacSha256(root_key_, body);
+  report.mac = ReportMac(root_mac_, enclave_id, measurement);
   return report;
 }
 
 bool TrustAuthority::Verify(const AttestationReport& report) const {
-  Bytes body = ReportBody(report.enclave_id, report.measurement);
-  crypto::Digest256 expected = crypto::HmacSha256(root_key_, body);
+  crypto::Digest256 expected =
+      ReportMac(root_mac_, report.enclave_id, report.measurement);
   return crypto::ConstantTimeEquals(expected.data(), report.mac.data(),
                                     expected.size());
 }
@@ -96,7 +103,7 @@ void Enclave::TamperCode(const std::string& new_identity) {
 Status Enclave::Provision() {
   auto key = authority_->ProvisionGroupKey(report_);
   if (!key.ok()) return key.status();
-  group_key_ = *key;
+  channel_mac_ = crypto::HmacSha256Key(key->data(), key->size());
   provisioned_ = true;
   pairwise_keys_.Clear();
   return Status::OK();
@@ -106,13 +113,11 @@ const crypto::Key256& Enclave::PairwiseKey(uint64_t peer_id) const {
   bool inserted;
   crypto::Key256& key = pairwise_keys_.FindOrInsert(peer_id, &inserted);
   if (!inserted) return key;
-  uint64_t lo = std::min(id_, peer_id);
-  uint64_t hi = std::max(id_, peer_id);
-  Writer w;
-  w.PutU64(lo);
-  w.PutU64(hi);
-  Bytes gk(group_key_.begin(), group_key_.end());
-  crypto::Digest256 d = crypto::HmacSha256(gk, w.Take());
+  // Message: the lower id then the higher, each little-endian.
+  uint8_t msg[16];
+  StoreLe64(msg, std::min(id_, peer_id));
+  StoreLe64(msg + 8, std::max(id_, peer_id));
+  crypto::Digest256 d = channel_mac_.Mac(msg, sizeof(msg));
   std::memcpy(key.data(), d.data(), key.size());
   return key;
 }

@@ -60,6 +60,7 @@ class TrustAuthority {
 
  private:
   Bytes root_key_;
+  crypto::HmacSha256Key root_mac_;  // root_key_'s HMAC key schedule
   crypto::Key256 group_key_;
   Measurement expected_measurement_{};
   bool has_expected_ = false;
@@ -125,10 +126,12 @@ class Enclave {
   size_t cached_pairwise_keys() const { return pairwise_keys_.size(); }
 
  private:
-  // HKDF-style derivation is ~1.5µs per call; the derived key for a peer is
-  // immutable for the lifetime of a group key, so it is cached in a flat
-  // open-addressing table (one probe on the per-message path). The cache
-  // is emptied whenever the group key can change (Provision, TamperCode).
+  // A pairwise key is HMAC-SHA256(group key, lower id || higher id), two
+  // SHA-256 compressions under the group key's schedule (channel_mac_).
+  // The derived key for a peer is immutable for the lifetime of a group
+  // key, so it is cached in a flat open-addressing table (one probe on the
+  // per-message path). The cache is emptied whenever the group key can
+  // change (Provision, TamperCode).
   const crypto::Key256& PairwiseKey(uint64_t peer_id) const;
 
   uint64_t id_;
@@ -137,7 +140,7 @@ class Enclave {
   const TrustAuthority* authority_;
   AttestationReport report_;
   crypto::Key256 sealing_key_{};
-  crypto::Key256 group_key_{};
+  crypto::HmacSha256Key channel_mac_;  // the group key's schedule
   bool provisioned_ = false;
   bool sealed_glass_ = false;
   uint64_t storage_seq_ = 0;
