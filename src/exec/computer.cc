@@ -127,6 +127,10 @@ void ComputerActor::HandleMessage(const net::Message& msg) {
 }
 
 void ComputerActor::OnSlice(const net::Message& msg) {
+  // Accept the first epoch only: a partition's slices must all come from
+  // one snapshot instance. A later slice (a resend, or another epoch) is
+  // dropped before it is opened and decoded.
+  if (have_slice_) return;
   if (!OpenSealed(msg).ok()) return;
   auto slice = SnapshotSliceMsg::Decode(opened_payload());
   if (!slice.ok() || slice->query_id != config_.query_id ||
@@ -134,9 +138,6 @@ void ComputerActor::OnSlice(const net::Message& msg) {
       slice->vgroup != config_.vgroup) {
     return;
   }
-  // Accept the first epoch only: a partition's slices must all come from
-  // one snapshot instance.
-  if (have_slice_) return;
   have_slice_ = true;
   slice_epoch_ = slice->epoch;
   slice_ = WholeView(std::move(slice->rows));

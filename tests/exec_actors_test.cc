@@ -943,6 +943,41 @@ TEST_F(ActorTest, ComputerCheckpointBytesArePinned) {
   ExpectResumes(knowledge, resumer(km_cfg), "k-means knowledge");
 }
 
+TEST_F(ActorTest, ComputerDropsLaterSlices) {
+  device::Device* comp_dev = NewDevice();
+  device::Device* comb_dev = NewDevice();
+  device::Device* sb_dev = NewDevice();
+  PartialSink sink(&transport_, comb_dev);
+  ComputerActor computer(&transport_, comp_dev,
+                         MiniComputer(comp_dev, comb_dev));
+  computer.Start();
+
+  auto slice_bytes = [](uint32_t epoch, double bmi) {
+    SnapshotSliceMsg slice;
+    slice.query_id = 1;
+    slice.epoch = epoch;
+    slice.rows = data::ColumnTable(MiniSchema());
+    EXPECT_TRUE(
+        slice.rows.AppendTuple({data::Value("north"), data::Value(bmi)}).ok());
+    return slice.Encode();
+  };
+  auto send = [&](const Bytes& payload) {
+    ASSERT_TRUE(
+        sb_dev->SendSealed(comp_dev->id(), kSnapshotSlice, payload, kQuery)
+            .ok());
+  };
+  const Bytes first = slice_bytes(3, 11.0);
+  send(first);
+  sim_.RunUntil(kMinute);
+  ASSERT_TRUE(computer.has_slice());
+  const Bytes taken = computer.SerializeState();
+
+  send(first);                 // a resend of the same slice
+  send(slice_bytes(4, 99.0));  // a failover builder's later epoch
+  sim_.RunUntil(2 * kMinute);
+  EXPECT_EQ(computer.SerializeState(), taken);
+}
+
 CombinerActor::Config MiniCombiner(device::Device* comb_dev,
                                    device::Device* querier_dev) {
   CombinerActor::Config cfg;
