@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "common/logging.h"
 #include "net/live/thread_transport.h"
@@ -176,20 +175,27 @@ Result<query::GroupingSetsResult> EdgeletFramework::CentralizedGroupingSets(
   if (query.kind != query::QueryKind::kGroupingSets) {
     return Status::InvalidArgument("not a grouping-sets query");
   }
-  std::set<uint64_t> keys(contributor_keys.begin(), contributor_keys.end());
   auto id_idx =
       population_store_->schema().IndexOf(data::kContributorIdColumn);
   if (!id_idx.ok()) return id_idx.status();
-  // Typed scan over the shared store's id column: the snapshot is a
-  // selection view, not a row copy of the qualifying members.
+  // The snapshot is a selection view over the shared store, not a row copy
+  // of the qualifying members. The generator numbers members 1..N in row
+  // order, so member k is row k - 1 and the rows are found without a scan
+  // of the store; a key outside 1..N names nobody and selects nothing.
   const std::vector<int64_t>& ids = population_store_->Int64Column(*id_idx);
   std::vector<uint32_t> selected;
-  selected.reserve(keys.size());
-  for (size_t r = 0; r < ids.size(); ++r) {
-    if (keys.count(static_cast<uint64_t>(ids[r])) > 0) {
-      selected.push_back(static_cast<uint32_t>(r));
+  selected.reserve(contributor_keys.size());
+  for (uint64_t k : contributor_keys) {
+    if (k == 0 || k > ids.size()) continue;
+    if (static_cast<uint64_t>(ids[k - 1]) != k) {
+      return Status::Internal("population ids are not numbered by row");
     }
+    selected.push_back(static_cast<uint32_t>(k - 1));
   }
+  // Each row once, in row order.
+  std::sort(selected.begin(), selected.end());
+  selected.erase(std::unique(selected.begin(), selected.end()),
+                 selected.end());
   data::TableView snapshot(population_store_, std::move(selected));
   if (set_indices.empty()) {
     return query::GroupingSetsResult::Compute(snapshot, query.grouping_sets);

@@ -16,7 +16,7 @@ namespace edgelet::data {
 // profiles so clustering experiments (K-Means) have recoverable structure.
 //
 // Schema:
-//   contributor_id INT64   -- stable id of the owning individual
+//   contributor_id INT64   -- stable id of the owning individual: row + 1
 //   age            INT64   -- years
 //   sex            STRING  -- "F" / "M"
 //   region         STRING  -- district name

@@ -519,5 +519,37 @@ TEST(CompareResultTablesTest, DetectsMismatches) {
   EXPECT_FALSE(CompareResultTables(a, empty).valid);  // row count
 }
 
+// The centralized rerun selects the same rows as a scan of the store's id
+// column: keys in any order, repeated or naming nobody.
+TEST(FrameworkTest, CentralizedGroupingSetsSelectsTheContributorsRows) {
+  EdgeletFramework fw(StableConfig(3));
+  ASSERT_TRUE(fw.Init().ok());
+  const query::Query q = HealthSurveyQuery();
+  const std::vector<uint64_t> keys = {97, 5, 64, 5, 0, 12, 121, 1, 120, 33,
+                                      1000, 64};
+  auto central = fw.CentralizedGroupingSets(q, keys, {});
+  ASSERT_TRUE(central.ok()) << central.status().ToString();
+
+  const auto& store = fw.population_store();
+  auto id_idx = store->schema().IndexOf(data::kContributorIdColumn);
+  ASSERT_TRUE(id_idx.ok());
+  const std::vector<int64_t>& ids = store->Int64Column(*id_idx);
+  const std::set<uint64_t> wanted(keys.begin(), keys.end());
+  std::vector<uint32_t> scanned;
+  for (size_t r = 0; r < ids.size(); ++r) {
+    if (wanted.count(static_cast<uint64_t>(ids[r])) > 0) {
+      scanned.push_back(static_cast<uint32_t>(r));
+    }
+  }
+  ASSERT_EQ(scanned.size(), 7u);  // of 120 members: 1 5 12 33 64 97 120
+  auto reference = query::GroupingSetsResult::Compute(
+      data::TableView(store, std::move(scanned)), q.grouping_sets);
+  ASSERT_TRUE(reference.ok());
+  auto got = central->Finalize();
+  auto want = reference->Finalize();
+  ASSERT_TRUE(got.ok() && want.ok());
+  EXPECT_EQ(*got, *want);
+}
+
 }  // namespace
 }  // namespace edgelet::core

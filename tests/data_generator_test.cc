@@ -25,12 +25,14 @@ TEST(GeneratorTest, DeterministicForSeed) {
   EXPECT_FALSE(a == c);
 }
 
+// Member k is row k - 1; CentralizedGroupingSets selects rows by it.
 TEST(GeneratorTest, ContributorIdsUniqueAndSequential) {
   HealthDataParams params;
   params.num_individuals = 300;
   Table t = GenerateHealthData(params, 5);
   std::set<int64_t> ids;
   for (const auto& row : t.rows()) {
+    EXPECT_EQ(row[0].AsInt64(), static_cast<int64_t>(ids.size() + 1));
     ids.insert(row[0].AsInt64());
   }
   EXPECT_EQ(ids.size(), 300u);
