@@ -27,7 +27,6 @@ Status EdgeletFramework::Init() {
     net::live::LiveEngine::Options live;
     live.num_workers = config_.live_workers;
     live.time_scale = config_.live_time_scale;
-    live.idle_fast_forward = config_.live_idle_fast_forward;
     transport_ = std::make_unique<net::live::ThreadTransport>(
         sim_seed, live, config_.network);
   } else {
@@ -85,7 +84,8 @@ Status EdgeletFramework::Init() {
 
 Result<exec::Deployment> EdgeletFramework::Plan(
     const query::Query& query, const PrivacyConfig& privacy,
-    const resilience::ResilienceConfig& resilience, exec::Strategy strategy) {
+    const resilience::ResilienceConfig& resilience, exec::Strategy strategy,
+    const std::vector<net::NodeId>& processor_pool) {
   if (!initialized_) return Status::FailedPrecondition("call Init() first");
   Planner planner(population_store_->schema());
   Planner::Input input;
@@ -93,8 +93,11 @@ Result<exec::Deployment> EdgeletFramework::Plan(
   input.privacy = privacy;
   input.resilience = resilience;
   input.strategy = strategy;
-  for (device::Device* dev : fleet_->processors()) {
-    input.processor_pool.push_back(dev->id());
+  input.processor_pool = processor_pool;
+  if (processor_pool.empty()) {
+    for (device::Device* dev : fleet_->processors()) {
+      input.processor_pool.push_back(dev->id());
+    }
   }
   input.querier = querier_node_;
   input.num_contributors = fleet_->contributors().size();
@@ -111,12 +114,10 @@ Result<exec::ExecutionReport> EdgeletFramework::Execute(
   // — a reused framework then runs the next query exactly like a fresh one
   // (churn-free fleets), and completed traces stop accumulating.
   DrainAndRetire(/*keep_last=*/false);
-  executions_.push_back(std::make_unique<exec::QueryExecution>(
-      transport_.get(), fleet_.get(), deployment, config));
-  exec::QueryExecution& execution = *executions_.back();
-  EDGELET_RETURN_NOT_OK(execution.Start());
-  EDGELET_RETURN_NOT_OK(execution.RunToCompletion());
-  return execution.report();
+  EDGELET_ASSIGN_OR_RETURN(exec::QueryExecution * execution,
+                           StartExecution(deployment, config));
+  EDGELET_RETURN_NOT_OK(execution->RunToCompletion());
+  return execution->report();
 }
 
 Result<exec::QueryExecution*> EdgeletFramework::StartExecution(

@@ -45,7 +45,6 @@ struct FrameworkConfig {
   // kLive tuning; see net::live::LiveEngine::Options.
   size_t live_workers = 4;
   uint64_t live_time_scale = 1000;
-  bool live_idle_fast_forward = true;
 
   FrameworkConfig() {
     // One individual per contributing device.
@@ -101,11 +100,13 @@ class EdgeletFramework {
   net::NodeId querier_node() const { return querier_node_; }
   const FrameworkConfig& config() const { return config_; }
 
-  // Plans a query with this framework's fleet as the processor pool.
-  Result<exec::Deployment> Plan(const query::Query& query,
-                                const PrivacyConfig& privacy,
-                                const resilience::ResilienceConfig& resilience,
-                                exec::Strategy strategy);
+  // Plans a query over `processor_pool` (empty = every processor of this
+  // framework's fleet). The scheduler plans each admitted request here, so
+  // a service deployment is exactly what a single-tenant Plan produces.
+  Result<exec::Deployment> Plan(
+      const query::Query& query, const PrivacyConfig& privacy,
+      const resilience::ResilienceConfig& resilience, exec::Strategy strategy,
+      const std::vector<net::NodeId>& processor_pool = {});
 
   // Runs a planned deployment on the simulator and returns the report.
   Result<exec::ExecutionReport> Execute(const exec::Deployment& deployment,

@@ -1,6 +1,7 @@
 #include "exec/actor.h"
 
 #include "common/logging.h"
+#include "resilience/failure_detector.h"
 
 namespace edgelet::exec {
 
@@ -9,7 +10,7 @@ LivenessBeacon::LivenessBeacon(net::Transport* net, device::Device* dev,
     : net_(net), dev_(dev), config_(config) {}
 
 void LivenessBeacon::Start() {
-  if (!config_.enabled || config_.period <= 0) return;
+  if (!config_.enabled) return;
   birth_epoch_ = dev_->boot_epoch();
   OperatorHeartbeatMsg msg;
   msg.query_id = config_.query_id;
@@ -30,7 +31,8 @@ void LivenessBeacon::Beat() {
   // missed beat is exactly the signal the detector is built around.
   dev_->SendControl(config_.target, kOperatorHeartbeat, payload_,
                     config_.query_id);
-  net_->ScheduleAfter(dev_->id(), config_.period, [this]() { Beat(); });
+  net_->ScheduleAfter(dev_->id(), resilience::kLeasePeriod,
+                      [this]() { Beat(); });
 }
 
 void OperatorActor::StartBeacon(const LivenessBeacon::Config& config) {

@@ -52,10 +52,11 @@ using CheckpointFn =
 
 // Periodic liveness beacon for the failure-detection subsystem: while the
 // hosting device is alive, renews the operator's lease at the repair
-// controller with a plaintext kOperatorHeartbeat every period. Every
-// replica beats (the detector monitors devices, not leadership); beats
-// from dead devices are dropped by the network and the loop stops
-// rescheduling once the device is dead or the deadline passed.
+// controller with a plaintext kOperatorHeartbeat every
+// resilience::kLeasePeriod. Every replica beats (the detector monitors
+// devices, not leadership); beats from dead devices are dropped by the
+// network and the loop stops rescheduling once the device is dead or the
+// deadline passed.
 class LivenessBeacon {
  public:
   struct Config {
@@ -63,7 +64,6 @@ class LivenessBeacon {
     net::NodeId target = 0;  // the controller's device
     uint64_t query_id = 0;
     uint64_t op_id = 0;
-    SimDuration period = 5 * kSecond;
     SimTime stop_at = kSimTimeNever;
   };
 

@@ -50,7 +50,7 @@ class CombinerActor : public OperatorActor {
     // else; the combiner re-emits it this many extra times (the querier
     // deduplicates).
     int result_resends = 2;
-    SimDuration resend_interval = kDefaultResendInterval;
+    SimDuration resend_interval = kResendInterval;
     // True: emit as soon as ready regardless of replica rank (active
     // replication). False: only the replica-group leader emits.
     bool active_emit = true;

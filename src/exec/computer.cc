@@ -176,7 +176,7 @@ void ComputerActor::ComputeAndEmitGs() {
 
 void ComputerActor::EmitGsWithResends() {
   EmitGs();
-  ScheduleResends(config_.emission_resends, config_.resend_interval, [this]() {
+  ScheduleResends(config_.emission_resends, kResendInterval, [this]() {
     // Suppressed after a leadership yield: the replica that took over
     // re-emits its own partial.
     if (replica_->is_leader()) EmitGs();
@@ -318,16 +318,11 @@ void ComputerActor::EmitKmFinal() {
   for (size_t i = 0; i < points_.size(); ++i) {
     int c = (*assignment)[i];
     for (size_t a = 0; a < aggs.size(); ++a) {
-      if (agg_cols[a] < 0) {
-        (void)stats.per_cluster[c][a].Add(data::Value::Null(), true);
-      } else if (aggs[a].fn == query::AggregateFunction::kCountDistinct) {
-        stats.per_cluster[c][a].AddDistinct(slice_.ValueAt(i, agg_cols[a]));
-      } else if (aggs[a].fn == query::AggregateFunction::kQuantile) {
-        (void)stats.per_cluster[c][a].AddQuantile(
-            slice_.ValueAt(i, agg_cols[a]));
-      } else {
-        (void)stats.per_cluster[c][a].Add(slice_.ValueAt(i, agg_cols[a]));
-      }
+      const bool count_star = agg_cols[a] < 0;
+      (void)stats.per_cluster[c][a].Accumulate(
+          aggs[a].fn,
+          count_star ? data::Value::Null() : slice_.ValueAt(i, agg_cols[a]),
+          count_star);
     }
   }
 
@@ -338,7 +333,7 @@ void ComputerActor::EmitKmFinal() {
   msg.stats = std::move(stats);
   const Bytes payload = msg.Encode();
   SealAndSendAll(config_.combiners, kKmFinal, payload);
-  ScheduleResends(config_.emission_resends, config_.resend_interval,
+  ScheduleResends(config_.emission_resends, kResendInterval,
                   [this, payload]() {
                     if (replica_->is_leader()) {
                       SealAndSendAll(config_.combiners, kKmFinal, payload);

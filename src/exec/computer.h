@@ -55,7 +55,6 @@ class ComputerActor : public OperatorActor {
     ExecutionTrace* trace = nullptr;
     // Extra re-emissions of partials / final reports (combiners dedup).
     int emission_resends = 0;
-    SimDuration resend_interval = kDefaultResendInterval;
     // Liveness lease renewals toward the repair controller (off unless the
     // execution enables repair).
     LivenessBeacon::Config liveness;

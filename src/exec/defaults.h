@@ -5,15 +5,16 @@
 
 namespace edgelet::exec {
 
-// Single source of truth for the liveness / retransmission timing defaults
-// shared by ExecutionConfig and the per-actor sub-configs it populates
-// (ReplicaRole, SnapshotBuilderActor, ComputerActor, CombinerActor). The
-// values used to be duplicated per struct and had drifted (ReplicaRole
-// defaulted failover to 15s while ExecutionConfig wired 20s); a test pins
-// that every struct default now agrees with these constants.
-inline constexpr SimDuration kDefaultPingPeriod = 5 * kSecond;
-inline constexpr SimDuration kDefaultFailoverTimeout = 20 * kSecond;
-inline constexpr SimDuration kDefaultResendInterval = 15 * kSecond;
+// Liveness / retransmission timing of the execution protocol, defined once.
+// Replica leaders ping every kPingPeriod and standby r promotes after
+// r * kFailoverTimeout of silence; every re-emitted one-shot message (slices,
+// partials, results, recruits, recovery hellos) backs off from
+// kResendInterval. Only ReplicaRole::Config and CombinerActor::Config carry
+// a field for these, defaulting to them, so unit tests can compress the
+// schedule; executions always run these values.
+inline constexpr SimDuration kPingPeriod = 5 * kSecond;
+inline constexpr SimDuration kFailoverTimeout = 20 * kSecond;
+inline constexpr SimDuration kResendInterval = 15 * kSecond;
 
 }  // namespace edgelet::exec
 

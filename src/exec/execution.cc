@@ -77,11 +77,51 @@ QueryExecution::QueryExecution(net::Transport* net,
 
 QueryExecution::~QueryExecution() = default;
 
-Status QueryExecution::Start() {
-  if (started_) return Status::FailedPrecondition("already started");
+Status QueryExecution::CheckDeployment() const {
   if (deployment_.query.query_id == 0) {
     return Status::InvalidArgument("query_id must be nonzero");
   }
+  auto need_device = [this](net::NodeId node, const char* role) -> Status {
+    if (fleet_->by_node(node) != nullptr) return Status::OK();
+    return Status::NotFound(std::string(role) + " device " +
+                            std::to_string(node) + " missing");
+  };
+  const size_t total = static_cast<size_t>(deployment_.n + deployment_.m);
+  const size_t vgroups = deployment_.vgroup_columns.size();
+  auto check_grid = [&](const auto& groups,
+                        const std::string& name) -> Status {
+    if (groups.size() != total) {
+      return Status::InvalidArgument(name + " size != n+m");
+    }
+    for (const auto& partition : groups) {
+      if (partition.size() != vgroups) {
+        return Status::InvalidArgument(name + " vgroup arity mismatch");
+      }
+      for (const auto& group : partition) {
+        for (net::NodeId node : group) {
+          EDGELET_RETURN_NOT_OK(need_device(node, "operator"));
+        }
+      }
+    }
+    return Status::OK();
+  };
+  EDGELET_RETURN_NOT_OK(check_grid(deployment_.sb_groups, "sb_groups"));
+  EDGELET_RETURN_NOT_OK(
+      check_grid(deployment_.computer_groups, "computer_groups"));
+  for (net::NodeId node : deployment_.combiner_group) {
+    EDGELET_RETURN_NOT_OK(need_device(node, "operator"));
+  }
+  for (net::NodeId node : deployment_.spare_pool) {
+    EDGELET_RETURN_NOT_OK(need_device(node, "spare"));
+  }
+  return need_device(deployment_.querier, "querier");
+}
+
+Status QueryExecution::Start() {
+  if (started_) return Status::FailedPrecondition("already started");
+  // Every check runs before the first actor exists: actors schedule events
+  // that point into this execution, so a rejected Start() must build none.
+  EDGELET_RETURN_NOT_OK(CheckDeployment());
   started_ = true;
   base_ = net_->now();
   if (config_.enable_trace) trace_ = std::make_unique<ExecutionTrace>(net_->engine());
@@ -95,13 +135,11 @@ Status QueryExecution::Start() {
   net_->engine()->ReserveEvents(fleet_->contributors().size() * 2 + 256);
 
   EDGELET_RETURN_NOT_OK(BuildContributors());
-  EDGELET_RETURN_NOT_OK(BuildOperators());
-  if (roles_->repair_active()) EDGELET_RETURN_NOT_OK(BuildSpares());
-
-  device::Device* qdev = fleet_->by_node(deployment_.querier);
-  if (qdev == nullptr) return Status::NotFound("querier device missing");
+  BuildOperators();
+  if (roles_->repair_active()) BuildSpares();
   querier_ = std::make_unique<QuerierActor>(
-      net_, qdev, deployment_.query.query_id, trace_.get());
+      net_, fleet_->by_node(deployment_.querier), deployment_.query.query_id,
+      trace_.get());
 
   for (const OperatorSlot& slot : slots_) {
     const CombinerActor* combiner = slot.incarnations.front().combiner.get();
@@ -154,10 +192,6 @@ std::unique_ptr<RecoveryHost> QueryExecution::MakeRecoveryHost(size_t index) {
       (roles_->repair_active() && slot.spec.kind != OperatorKind::kCombiner)
           ? deployment_.combiner_group[0]
           : 0;
-  hc.checkpoint_interval = config_.recovery.checkpoint_interval;
-  hc.grace_window = config_.recovery.grace_window;
-  hc.hello_resends = config_.recovery.hello_resends;
-  hc.resend_interval = config_.recovery.resend_interval;
   hc.stop_at = base_ + config_.deadline;
   // A resume rebuilds the operator from its replayed state under the new
   // boot epoch, checkpointing into the same store. A resumed combiner
@@ -223,64 +257,45 @@ Status QueryExecution::BuildContributors() {
   return Status::OK();
 }
 
-Status QueryExecution::BuildOperators() {
-  const int total = deployment_.n + deployment_.m;
-  if (static_cast<int>(deployment_.sb_groups.size()) != total) {
-    return Status::InvalidArgument("sb_groups size != n+m");
-  }
-  const size_t vgroups = deployment_.vgroup_columns.size();
-  for (const auto& partition : deployment_.sb_groups) {
-    if (partition.size() != vgroups) {
-      return Status::InvalidArgument("sb_groups vgroup arity mismatch");
-    }
-  }
+void QueryExecution::BuildOperators() {
+  const uint32_t total = static_cast<uint32_t>(deployment_.n + deployment_.m);
   // Chain operators renew their liveness lease at the repair controller,
   // hosted by the primary combiner.
   const net::NodeId controller =
       roles_->repair_active() ? deployment_.combiner_group[0] : 0;
-  auto add_chains = [&](OperatorKind kind, const auto& groups) -> Status {
-    for (uint32_t p = 0; p < static_cast<uint32_t>(total); ++p) {
+  auto add_chains = [&](OperatorKind kind, const auto& groups) {
+    for (uint32_t p = 0; p < total; ++p) {
       for (uint32_t vg = 0; vg < groups[p].size(); ++vg) {
         for (net::NodeId node : groups[p][vg]) {
-          EDGELET_RETURN_NOT_OK(AddOperator({.kind = kind,
-                                             .partition = p,
-                                             .vgroup = vg,
-                                             .node = node,
-                                             .members = groups[p][vg],
-                                             .liveness_target = controller}));
+          AddOperator({.kind = kind,
+                       .partition = p,
+                       .vgroup = vg,
+                       .node = node,
+                       .members = groups[p][vg],
+                       .liveness_target = controller});
         }
       }
     }
-    return Status::OK();
   };
-  EDGELET_RETURN_NOT_OK(
-      add_chains(OperatorKind::kSnapshotBuilder, deployment_.sb_groups));
-  EDGELET_RETURN_NOT_OK(
-      add_chains(OperatorKind::kComputer, deployment_.computer_groups));
+  add_chains(OperatorKind::kSnapshotBuilder, deployment_.sb_groups);
+  add_chains(OperatorKind::kComputer, deployment_.computer_groups);
   // Overcollection runs independent active combiner instances (singleton
   // groups); Backup runs one leader/standby group.
   const bool active = deployment_.strategy == Strategy::kOvercollection;
   for (net::NodeId node : deployment_.combiner_group) {
-    EDGELET_RETURN_NOT_OK(AddOperator(
-        {.kind = OperatorKind::kCombiner,
-         .node = node,
-         .members = active ? std::vector<net::NodeId>{node}
-                           : deployment_.combiner_group}));
+    AddOperator({.kind = OperatorKind::kCombiner,
+                 .node = node,
+                 .members = active ? std::vector<net::NodeId>{node}
+                                   : deployment_.combiner_group});
   }
-  return Status::OK();
 }
 
-Status QueryExecution::AddOperator(OperatorSpec spec) {
+void QueryExecution::AddOperator(OperatorSpec spec) {
   device::Device* dev = fleet_->by_node(spec.node);
-  if (dev == nullptr) {
-    return Status::NotFound("operator device " + std::to_string(spec.node) +
-                            " missing");
-  }
   const size_t index = slots_.size();
   slots_.push_back(OperatorSlot{std::move(spec), dev, {}, nullptr});
   slots_[index].host = MakeRecoveryHost(index);
   StartIncarnation(index, {});
-  return Status::OK();
 }
 
 void QueryExecution::StartIncarnation(size_t index, const Bytes& state) {
@@ -292,13 +307,11 @@ void QueryExecution::StartIncarnation(size_t index, const Bytes& state) {
   slot.incarnations.back().Start();
 }
 
-Status QueryExecution::BuildSpares() {
+void QueryExecution::BuildSpares() {
   for (net::NodeId node : deployment_.spare_pool) {
-    device::Device* dev = fleet_->by_node(node);
-    if (dev == nullptr) return Status::NotFound("spare device missing");
-    spares_.push_back(std::make_unique<SpareActor>(net_, dev, roles_.get()));
+    spares_.push_back(std::make_unique<SpareActor>(net_, fleet_->by_node(node),
+                                                   roles_.get()));
   }
-  return Status::OK();
 }
 
 void QueryExecution::InjectFailures() {
@@ -343,8 +356,7 @@ void QueryExecution::InjectFailures() {
 }
 
 SimDuration QueryExecution::poll_step() const {
-  if (controller_ == nullptr) return 0;
-  return std::max<SimDuration>(config_.repair.lease_period, kSecond);
+  return controller_ == nullptr ? 0 : resilience::kLeasePeriod;
 }
 
 bool QueryExecution::abort_requested() const {
@@ -362,21 +374,17 @@ SimTime QueryExecution::quiescent_at() const {
       base_ + config_.collection_window + 10 * kSecond +
       static_cast<SimDuration>(config_.num_heartbeats + 1) *
           config_.heartbeat_period;
-  const int max_resends =
-      std::max({config_.result_resends, config_.emission_resends,
-                config_.repair.recruit_resends});
-  const SimDuration tail =
-      ResendBackoffDelay(max_resends, config_.resend_interval);
-  const SimDuration period =
-      std::max({config_.ping_period, config_.heartbeat_period,
-                config_.repair.lease_period});
+  const int max_resends = std::max(
+      {config_.result_resends, config_.emission_resends, kRecruitResends});
+  const SimDuration tail = ResendBackoffDelay(max_resends, kResendInterval);
+  const SimDuration period = std::max(
+      {kPingPeriod, config_.heartbeat_period, resilience::kLeasePeriod});
   // A device restarting just before the deadline may still run its hello
   // resends and grace-window fallback timer past it.
   SimDuration recovery_tail = 0;
   if (config_.recovery.enabled) {
-    recovery_tail = SatAdd(config_.recovery.grace_window,
-                           ResendBackoffDelay(config_.recovery.hello_resends,
-                                              config_.recovery.resend_interval));
+    recovery_tail = SatAdd(kGraceWindow,
+                           ResendBackoffDelay(kHelloResends, kResendInterval));
   }
   return SatAdd(SatAdd(SatAdd(std::max(end, km_end), tail), period),
                 recovery_tail);

@@ -78,12 +78,6 @@ struct ExecutionConfig {
   // K-Means cadence (paper §2.2).
   SimDuration heartbeat_period = 30 * kSecond;
   int num_heartbeats = 8;
-  // Backup strategy liveness parameters (single source of truth:
-  // exec/defaults.h — the ReplicaRole::Config defaults are the same
-  // constants, so an execution that forgets to forward these still agrees
-  // with one that does).
-  SimDuration ping_period = kDefaultPingPeriod;
-  SimDuration failover_timeout = kDefaultFailoverTimeout;
   // Crash-failure injection over the Data Processor devices.
   bool inject_failures = true;
   double failure_probability = 0.0;
@@ -96,8 +90,8 @@ struct ExecutionConfig {
   // Extra emissions of the other one-shot protocol messages (snapshot
   // slices, computed partials); receivers deduplicate. Contributions and
   // K-Means broadcasts are naturally redundant and are not repeated.
+  // Every re-send backs off from kResendInterval (exec/defaults.h).
   int emission_resends = 2;
-  SimDuration resend_interval = kDefaultResendInterval;
   // Mid-query failure detection + deadline-aware partition repair
   // (DESIGN.md §5f). Applies to Grouping Sets executions under the
   // Overcollection strategy when the plan reserved spares.
@@ -217,16 +211,20 @@ class QueryExecution {
     std::unique_ptr<RecoveryHost> host;
   };
 
+  // Every shape, id and device Start() relies on: the query id, the
+  // [n+m][vgroup] arity of both chain grids, and each operator, spare and
+  // querier device.
+  Status CheckDeployment() const;
   // One ContributorActor per contributor device, one member per row of
   // the device's view, keyed by the row's contributor_id.
   Status BuildContributors();
   // Deploys every planned builder, computer and combiner, in that order.
-  Status BuildOperators();
-  Status AddOperator(OperatorSpec spec);
+  void BuildOperators();
+  void AddOperator(OperatorSpec spec);
   // Builds and starts slot `index`'s next incarnation from `state` (empty =
   // fresh start). The deployment and every resume go through here.
   void StartIncarnation(size_t index, const Bytes& state);
-  Status BuildSpares();
+  void BuildSpares();
   void InjectFailures();
   void SnapshotExposure();
   void CollectReport();

@@ -25,7 +25,7 @@ CheckpointFn RecoveryHost::MakeCheckpointFn() {
   return [this](uint32_t epoch, const Bytes& state, bool critical) {
     const SimTime now = net_->now();
     if (!critical && has_checkpointed_ &&
-        now < last_checkpoint_ + config_.checkpoint_interval) {
+        now < last_checkpoint_ + kCheckpointInterval) {
       return;  // cadence throttle: coalesce routine deltas
     }
     CheckpointRecord rec;
@@ -112,7 +112,7 @@ void RecoveryHost::OnRestart() {
   // combiner keeps a racing recruit harmless: whichever partial lands
   // first per vertical group is the one consumed.
   const uint64_t inc = attempt_incarnation_;
-  net_->ScheduleAfter(dev_->id(), config_.grace_window, [this, inc]() {
+  net_->ScheduleAfter(dev_->id(), kGraceWindow, [this, inc]() {
     if (dev_->network()->IsDead(dev_->id())) return;
     if (attempt_incarnation_ != inc || !awaiting_ack_) return;
     awaiting_ack_ = false;
@@ -135,7 +135,7 @@ void RecoveryHost::SendHello() {
                          config_.query_id);
   const uint64_t inc = attempt_incarnation_;
   ScheduleBackoffResends(
-      net_, dev_->id(), config_.hello_resends, config_.resend_interval,
+      net_, dev_->id(), kHelloResends, kResendInterval,
       [this, payload, inc]() {
         if (dev_->network()->IsDead(dev_->id())) return;
         if (attempt_incarnation_ != inc || !awaiting_ack_) return;

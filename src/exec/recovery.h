@@ -18,22 +18,23 @@ namespace edgelet::exec {
 // to pre-recovery builds.
 struct RecoveryConfig {
   bool enabled = false;
-  // Cadence throttle for non-critical checkpoints (routine deltas such as
-  // per-round K-Means knowledge). Critical phase transitions — snapshot
-  // complete, slice/partial/result emitted — always persist.
-  SimDuration checkpoint_interval = 2 * kSecond;
-  // Two roles in one knob, both about how long "suspected" may age before
-  // it means "lost": the failure detector's confirm grace (a chain is only
-  // repaired once a suspicion is this old — sized to the expected
-  // crash-reboot turnaround), and the rebooted operator's patience for a
-  // coordinator verdict before it resumes unilaterally.
-  SimDuration grace_window = 15 * kSecond;
-  // RecoveryHello re-sends toward the coordinator (backoff schedule).
-  int hello_resends = 2;
-  SimDuration resend_interval = kDefaultResendInterval;
   // Stable-medium fault injection (torn writes / bit flips), sim only.
   store::MediumFaultConfig store_faults;
 };
+
+// Cadence throttle for non-critical checkpoints (routine deltas such as
+// per-round K-Means knowledge). Critical phase transitions — snapshot
+// complete, slice/partial/result emitted — always persist.
+inline constexpr SimDuration kCheckpointInterval = 2 * kSecond;
+// Two roles in one constant, both about how long "suspected" may age before
+// it means "lost": the failure detector's confirm grace (a chain is only
+// repaired once a suspicion is this old — sized to the expected
+// crash-reboot turnaround), and the rebooted operator's patience for a
+// coordinator verdict before it resumes unilaterally.
+inline constexpr SimDuration kGraceWindow = 15 * kSecond;
+// RecoveryHello re-sends toward the coordinator (backoff schedule from
+// kResendInterval).
+inline constexpr int kHelloResends = 2;
 
 // Which operator a checkpoint record belongs to. Extends RecruitRole with
 // the combiner (which is never recruited, but does checkpoint).
@@ -100,10 +101,6 @@ class RecoveryHost {
     // The repair controller's device; 0 = no coordinator, resume
     // unilaterally.
     net::NodeId coordinator = 0;
-    SimDuration checkpoint_interval = 2 * kSecond;
-    SimDuration grace_window = 15 * kSecond;
-    int hello_resends = 2;
-    SimDuration resend_interval = kDefaultResendInterval;
     // No recovery is attempted at or past this time (the deadline: a
     // resume that cannot contribute anymore is pure noise).
     SimTime stop_at = kSimTimeNever;

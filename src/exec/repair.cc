@@ -47,10 +47,9 @@ void RepairController::Start() {
       detector_.Register(c.computer_op, now);
     }
   }
-  const SimDuration period =
-      std::max<SimDuration>(config_.detector.lease_period, kSecond);
-  if (now + period < config_.deadline) {
-    net_->ScheduleAfter(dev_->id(), period, [this]() { Tick(); });
+  if (now + resilience::kLeasePeriod < config_.deadline) {
+    net_->ScheduleAfter(dev_->id(), resilience::kLeasePeriod,
+                        [this]() { Tick(); });
   }
 }
 
@@ -139,10 +138,9 @@ void RepairController::Tick() {
     }
   }
 
-  const SimDuration period =
-      std::max<SimDuration>(config_.detector.lease_period, kSecond);
-  if (now + period < config_.deadline) {
-    net_->ScheduleAfter(dev_->id(), period, [this]() { Tick(); });
+  if (now + resilience::kLeasePeriod < config_.deadline) {
+    net_->ScheduleAfter(dev_->id(), resilience::kLeasePeriod,
+                        [this]() { Tick(); });
   }
 }
 
@@ -230,7 +228,7 @@ void RepairController::SendRecruit(RecruitRole role, net::NodeId to,
                               std::to_string(to));
   }
   ScheduleBackoffResends(
-      net_, dev_->id(), config_.recruit_resends, config_.resend_interval,
+      net_, dev_->id(), kRecruitResends, kResendInterval,
       [this, role, to, partition, vgroup, epoch, payload]() {
         if (partition >= chains_.size() || vgroup >= config_.num_vgroups) {
           return;

@@ -19,26 +19,21 @@ struct Operator;
 // subsystem (DESIGN.md §5f). Off by default: with enabled == false an
 // execution is bit-identical to one built before the subsystem existed.
 // Repair applies to Grouping Sets queries under the Overcollection
-// strategy; other executions ignore it.
+// strategy; other executions ignore it. The detector's lease timing is
+// fixed by the protocol (resilience/failure_detector.h): operators beat and
+// the controller scans every resilience::kLeasePeriod.
 struct RepairConfig {
   bool enabled = false;
-  // Heartbeat cadence of monitored operators == the detector's lease
-  // period == the controller's scan cadence.
-  SimDuration lease_period = 5 * kSecond;
-  // Missed periods before suspicion, and the lease backoff applied when a
-  // suspicion proves false (see resilience::FailureDetectorConfig).
-  int miss_threshold = 3;
-  double suspicion_backoff = 2.0;
-  int max_backoff_steps = 3;
-  double detector_jitter_fraction = 0.1;
   // Budget terms of the repair-vs-fail-safe decision: a repair is feasible
   // iff now + collection-window remainder + compute_margin +
   // emission_margin still fits before (deadline - combiner margin).
   SimDuration compute_margin = 15 * kSecond;
   SimDuration emission_margin = 15 * kSecond;
-  // Extra recruit re-sends (backoff schedule; spares ack-dedup).
-  int recruit_resends = 2;
 };
+
+// Extra Recruit re-sends (backoff schedule from kResendInterval; spares
+// ack-dedup).
+inline constexpr int kRecruitResends = 2;
 
 // Stable operator identity for the liveness lease of one chain operator:
 // (repair generation, role, partition, vgroup). Generation 0 is the
@@ -77,8 +72,6 @@ class RepairController {
     SimDuration combiner_margin = 60 * kSecond;
     SimDuration compute_margin = 15 * kSecond;
     SimDuration emission_margin = 15 * kSecond;
-    int recruit_resends = 2;
-    SimDuration resend_interval = kDefaultResendInterval;
     // Rank-ordered spares reserved by the planner; consumed front-first.
     std::vector<net::NodeId> spare_pool;
     // Every contributor device (re-solicitation fan-out).

@@ -26,8 +26,8 @@ class ReplicaRole {
     uint64_t group_id = 0;
     // Rank-ordered members; must contain the owning device's id.
     std::vector<net::NodeId> members;
-    SimDuration ping_period = kDefaultPingPeriod;
-    SimDuration failover_timeout = kDefaultFailoverTimeout;
+    SimDuration ping_period = kPingPeriod;
+    SimDuration failover_timeout = kFailoverTimeout;
     // Ping/monitor loop stops after this time (the query deadline);
     // prevents an idle replica group from keeping the simulation alive.
     SimTime stop_at = kSimTimeNever;

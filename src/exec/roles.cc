@@ -46,8 +46,6 @@ ReplicaRole::Config RoleTable::Replica(const OperatorSpec& spec) const {
   ReplicaRole::Config replica;
   replica.group_id = HashCombine(query_id(), salt);
   replica.members = spec.members;
-  replica.ping_period = config_.ping_period;
-  replica.failover_timeout = config_.failover_timeout;
   replica.stop_at = base_ + config_.deadline;
   return replica;
 }
@@ -60,7 +58,6 @@ LivenessBeacon::Config RoleTable::Liveness(const OperatorSpec& spec,
   liveness.target = spec.liveness_target;
   liveness.query_id = query_id();
   liveness.op_id = RepairOpId(role, spec.partition, spec.vgroup, spec.epoch);
-  liveness.period = config_.repair.lease_period;
   liveness.stop_at = base_ + config_.deadline;
   return liveness;
 }
@@ -84,7 +81,6 @@ SnapshotBuilderActor::Config RoleTable::Builder(
   cfg.replica = Replica(spec);
   cfg.trace = trace_;
   cfg.emission_resends = config_.emission_resends;
-  cfg.resend_interval = config_.resend_interval;
   cfg.liveness = Liveness(spec, RecruitRole::kSnapshotBuilder);
   return cfg;
 }
@@ -117,7 +113,6 @@ ComputerActor::Config RoleTable::Computer(const OperatorSpec& spec) const {
   cfg.replica = Replica(spec);
   cfg.trace = trace_;
   cfg.emission_resends = config_.emission_resends;
-  cfg.resend_interval = config_.resend_interval;
   cfg.liveness = Liveness(spec, RecruitRole::kComputer);
   return cfg;
 }
@@ -139,7 +134,6 @@ CombinerActor::Config RoleTable::Combiner(const OperatorSpec& spec) const {
                              ? config_.deadline - config_.combiner_margin
                              : 0);
   cfg.result_resends = config_.result_resends;
-  cfg.resend_interval = config_.resend_interval;
   cfg.active_emit = plan_.strategy == Strategy::kOvercollection;
   cfg.replica = Replica(spec);
   cfg.trace = trace_;
@@ -159,11 +153,6 @@ RepairController::Config RoleTable::Controller() const {
   rc.n_needed = plan_.n;
   rc.total_partitions = static_cast<uint32_t>(plan_.n + plan_.m);
   rc.num_vgroups = static_cast<uint32_t>(num_vgroups());
-  rc.detector.lease_period = config_.repair.lease_period;
-  rc.detector.miss_threshold = config_.repair.miss_threshold;
-  rc.detector.suspicion_backoff = config_.repair.suspicion_backoff;
-  rc.detector.max_backoff_steps = config_.repair.max_backoff_steps;
-  rc.detector.jitter_fraction = config_.repair.detector_jitter_fraction;
   rc.detector.seed = Mix64(config_.seed) ^ 0xDE7EC7;
   rc.start_at = base_;
   rc.collection_end = base_ + config_.collection_window;
@@ -171,8 +160,6 @@ RepairController::Config RoleTable::Controller() const {
   rc.combiner_margin = config_.combiner_margin;
   rc.compute_margin = config_.repair.compute_margin;
   rc.emission_margin = config_.repair.emission_margin;
-  rc.recruit_resends = config_.repair.recruit_resends;
-  rc.resend_interval = config_.resend_interval;
   rc.spare_pool = plan_.spare_pool;
   // Every contributor device (individual or cohort): the controller
   // re-solicits devices, and a cohort fans the request out to its members
@@ -186,7 +173,7 @@ RepairController::Config RoleTable::Controller() const {
     // distinguish *suspected* from *confirmed lost* (grace sized to the
     // crash-reboot turnaround), and RecoveryHellos are authenticated
     // against the plan's incumbent device per (partition, vgroup).
-    rc.detector.confirm_grace = config_.recovery.grace_window;
+    rc.detector.confirm_grace = kGraceWindow;
     const size_t vgroups = num_vgroups();
     rc.original_builders.assign(rc.total_partitions,
                                 std::vector<net::NodeId>(vgroups, 0));

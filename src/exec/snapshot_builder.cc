@@ -150,7 +150,7 @@ void SnapshotBuilderActor::MaybeEmit() {
 
 void SnapshotBuilderActor::EmitSliceWithResends() {
   EmitSlice();
-  ScheduleResends(config_.emission_resends, config_.resend_interval, [this]() {
+  ScheduleResends(config_.emission_resends, kResendInterval, [this]() {
     // Suppressed after a leadership yield: the replica that took over
     // re-emits its own epoch's slice.
     if (replica_->is_leader()) EmitSlice();

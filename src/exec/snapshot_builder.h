@@ -32,7 +32,6 @@ class SnapshotBuilderActor : public OperatorActor {
     ExecutionTrace* trace = nullptr;
     // Extra re-emissions of the slice (lossy links; computers dedup).
     int emission_resends = 0;
-    SimDuration resend_interval = kDefaultResendInterval;
     // Repair subsystem: emit slices under this epoch instead of the
     // replica rank (< 0 = use the rank). Recruited builders get a unique
     // repair-generation epoch so their sample can never be confused with a

@@ -169,8 +169,7 @@ size_t LiveEngine::RunUntil(SimTime until) {
         running_callbacks_ == 0 &&
         (earliest == kSimTimeNever || earliest > horizon_);
     if (drained) break;
-    if (running_callbacks_ == 0 && earliest <= horizon_ &&
-        options_.idle_fast_forward) {
+    if (running_callbacks_ == 0 && earliest <= horizon_) {
       const SimTime mapped = MappedNowLocked();
       if (mapped < earliest) {
         // Every worker idle, nothing due: jump the clock to the next

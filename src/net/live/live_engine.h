@@ -34,9 +34,9 @@ namespace edgelet::net::live {
 // Time: now() = virtual_anchor + (wall - wall_anchor) * time_scale,
 // clamped to the run horizon, frozen between runs. When every worker is
 // idle and the earliest pending timer is still in the simulated future,
-// RunUntil fast-forwards the anchor instead of sleeping through the gap
-// (idle_fast_forward), so a 10-simulated-minute deadline drains in
-// milliseconds of wall time while due timers still race real threads.
+// RunUntil fast-forwards the anchor instead of sleeping through the gap,
+// so a 10-simulated-minute deadline drains in milliseconds of wall time
+// while due timers still race real threads.
 class LiveEngine : public SimEngine {
  public:
   struct Options {
@@ -46,8 +46,6 @@ class LiveEngine : public SimEngine {
     // the engine is waiting for a due timer. 1 = real time; the default
     // runs one simulated second per wall millisecond.
     uint64_t time_scale = 1000;
-    // Jump the clock over fully-idle gaps instead of sleeping them out.
-    bool idle_fast_forward = true;
   };
 
   LiveEngine(uint64_t seed, Options options);

@@ -103,6 +103,20 @@ Status AggregateState::AddQuantile(const data::Value& v) {
   return Status::OK();
 }
 
+Status AggregateState::Accumulate(AggregateFunction fn, const data::Value& v,
+                                  bool count_star) {
+  if (count_star) return Add(data::Value::Null(), /*count_star=*/true);
+  switch (fn) {
+    case AggregateFunction::kCountDistinct:
+      AddDistinct(v);
+      return Status::OK();
+    case AggregateFunction::kQuantile:
+      return AddQuantile(v);
+    default:
+      return Add(v);
+  }
+}
+
 void AggregateState::Merge(const AggregateState& other) {
   count_ += other.count_;
   if (other.sketch_.has_value()) {

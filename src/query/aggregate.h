@@ -75,6 +75,12 @@ class AggregateState {
   // kQuantile). NULLs are ignored; non-numeric values fail.
   Status AddQuantile(const data::Value& v);
 
+  // Accumulates one input row of aggregate `fn` through the matching Add*
+  // call: the one dispatch every operator uses. A COUNT(*) row
+  // (`count_star`) is counted once, whatever `v` holds.
+  Status Accumulate(AggregateFunction fn, const data::Value& v,
+                    bool count_star);
+
   void Merge(const AggregateState& other);
 
   // NULL result when no value was observed (except COUNT -> 0).

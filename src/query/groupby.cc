@@ -83,19 +83,12 @@ Result<GroupedAggregation> GroupedAggregation::Compute(
       it->second.states.resize(spec.aggregates.size());
     }
     for (size_t a = 0; a < spec.aggregates.size(); ++a) {
-      if (agg_idx[a] < 0) {
-        EDGELET_RETURN_NOT_OK(
-            it->second.states[a].Add(data::Value::Null(), /*count_star=*/true));
-      } else if (spec.aggregates[a].fn == AggregateFunction::kCountDistinct) {
-        it->second.states[a].AddDistinct(
-            view.ValueAt(r, static_cast<size_t>(agg_idx[a])));
-      } else if (spec.aggregates[a].fn == AggregateFunction::kQuantile) {
-        EDGELET_RETURN_NOT_OK(it->second.states[a].AddQuantile(
-            view.ValueAt(r, static_cast<size_t>(agg_idx[a]))));
-      } else {
-        EDGELET_RETURN_NOT_OK(it->second.states[a].Add(
-            view.ValueAt(r, static_cast<size_t>(agg_idx[a]))));
-      }
+      const bool count_star = agg_idx[a] < 0;
+      EDGELET_RETURN_NOT_OK(it->second.states[a].Accumulate(
+          spec.aggregates[a].fn,
+          count_star ? data::Value::Null()
+                     : view.ValueAt(r, static_cast<size_t>(agg_idx[a])),
+          count_star));
     }
   }
   return out;

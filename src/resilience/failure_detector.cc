@@ -6,19 +6,11 @@
 namespace edgelet::resilience {
 
 FailureDetector::FailureDetector(FailureDetectorConfig config)
-    : config_(config) {
-  if (config_.lease_period <= 0) config_.lease_period = kSecond;
-  if (config_.miss_threshold < 1) config_.miss_threshold = 1;
-  if (config_.suspicion_backoff < 1.0) config_.suspicion_backoff = 1.0;
-  if (config_.max_backoff_steps < 0) config_.max_backoff_steps = 0;
-  if (config_.jitter_fraction < 0) config_.jitter_fraction = 0;
-}
+    : config_(config) {}
 
 FailureDetector::FailureDetector(FailureDetectorConfig config,
                                  const net::Clock* clock)
-    : FailureDetector(config) {
-  clock_ = clock;
-}
+    : config_(config), clock_(clock) {}
 
 SimTime FailureDetector::ClockNow() const {
   assert(clock_ != nullptr && "no-argument overloads need an injected clock");
@@ -26,22 +18,15 @@ SimTime FailureDetector::ClockNow() const {
 }
 
 SimDuration FailureDetector::LeaseFor(const OpState& op) const {
-  double mult = std::pow(config_.suspicion_backoff, op.backoff_steps);
-  double base = static_cast<double>(config_.lease_period) *
-                config_.miss_threshold * mult;
+  double mult = std::pow(kSuspicionBackoff, op.backoff_steps);
+  double base = static_cast<double>(kLeasePeriod) * kMissThreshold * mult;
   return static_cast<SimDuration>(base);
 }
 
 void FailureDetector::DrawJitter(OpState* op) {
-  if (config_.jitter_fraction <= 0) {
-    op->jitter = 0;
-    return;
-  }
-  auto span = static_cast<uint64_t>(
-      static_cast<double>(config_.lease_period) * config_.miss_threshold *
-      config_.jitter_fraction);
-  op->jitter =
-      span > 0 ? static_cast<SimDuration>(op->rng.NextBelow(span + 1)) : 0;
+  constexpr auto span = static_cast<uint64_t>(
+      static_cast<double>(kLeasePeriod) * kMissThreshold * kJitterFraction);
+  op->jitter = static_cast<SimDuration>(op->rng.NextBelow(span + 1));
 }
 
 void FailureDetector::Register(uint64_t op_id, SimTime now) {
@@ -69,7 +54,7 @@ void FailureDetector::Heartbeat(uint64_t op_id, SimTime now) {
     // flapping in and out of suspicion.
     op.suspected = false;
     ++false_suspicions_;
-    if (op.backoff_steps < config_.max_backoff_steps) ++op.backoff_steps;
+    if (op.backoff_steps < kMaxBackoffSteps) ++op.backoff_steps;
   }
   op.last_heartbeat = now;
   DrawJitter(&op);

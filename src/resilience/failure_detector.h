@@ -11,26 +11,30 @@
 
 namespace edgelet::resilience {
 
-// Knobs of the heartbeat/lease failure detector ("Dependability in Edge
-// Computing": online detection + reconfiguration instead of static
-// over-provisioning alone).
+// Lease timing of the heartbeat/lease failure detector ("Dependability in
+// Edge Computing": online detection + reconfiguration instead of static
+// over-provisioning alone). Protocol constants, not settings.
+//
+// Expected heartbeat cadence of a monitored operator; the repair
+// controller also scans at this cadence.
+inline constexpr SimDuration kLeasePeriod = 5 * kSecond;
+// Consecutive missed periods before an operator is suspected. The base
+// lease is kLeasePeriod * kMissThreshold.
+inline constexpr int kMissThreshold = 3;
+// A heartbeat from a suspected operator is a false suspicion: the
+// operator's lease widens by this factor (capped at kMaxBackoffSteps
+// applications) so a slow-but-alive operator stops flapping.
+inline constexpr double kSuspicionBackoff = 2.0;
+inline constexpr int kMaxBackoffSteps = 3;
+// Deterministic per-operator jitter added to the suspicion deadline, as a
+// fraction of the base lease. Drawn from the operator's own counter-based
+// NodeRng stream (seed, op_id), so the jitter a given operator sees never
+// depends on how other operators' draws interleave — the detector replays
+// bit-identically for any parsim shard count.
+inline constexpr double kJitterFraction = 0.1;
+
 struct FailureDetectorConfig {
-  // Expected heartbeat cadence of a monitored operator.
-  SimDuration lease_period = 5 * kSecond;
-  // Consecutive missed periods before an operator is suspected. The base
-  // lease is lease_period * miss_threshold.
-  int miss_threshold = 3;
-  // A heartbeat from a suspected operator is a false suspicion: the
-  // operator's lease widens by this factor (capped at max_backoff_steps
-  // applications) so a slow-but-alive operator stops flapping.
-  double suspicion_backoff = 2.0;
-  int max_backoff_steps = 3;
-  // Deterministic per-operator jitter added to the suspicion deadline,
-  // as a fraction of the base lease. Drawn from the operator's own
-  // counter-based NodeRng stream (seed, op_id), so the jitter a given
-  // operator sees never depends on how other operators' draws interleave
-  // — the detector replays bit-identically for any parsim shard count.
-  double jitter_fraction = 0.1;
+  // Seeds the per-operator jitter streams.
   uint64_t seed = 0;
   // Grace window between *suspected* and *confirmed lost*. With crash
   // recovery in play a silent operator may be mid-reboot: suspicion alone
@@ -46,7 +50,7 @@ struct FailureDetectorConfig {
 // never touches the network or the engine itself.
 //
 // An operator is *suspected* once `now` passes its suspicion deadline:
-//   last_heartbeat + lease_period * miss_threshold * backoff^steps + jitter.
+//   last_heartbeat + kLeasePeriod * kMissThreshold * backoff^steps + jitter.
 // Suspicion is sticky until a heartbeat arrives (a false suspicion), which
 // clears it and widens the lease.
 class FailureDetector {

@@ -38,31 +38,6 @@ QueryScheduler::QueryScheduler(core::EdgeletFramework* framework,
 
 QueryScheduler::~QueryScheduler() = default;
 
-Result<exec::Deployment> QueryScheduler::PlanRequest(
-    const SubmitRequest& request) const {
-  // Mirrors EdgeletFramework::Plan exactly (same planner input, same seed)
-  // so an admitted query's deployment is identical to what a fresh,
-  // single-tenant Plan would produce — the isolated-equivalence property
-  // the determinism tests rely on.
-  core::Planner planner(framework_->population_store()->schema());
-  core::Planner::Input input;
-  input.query = request.query;
-  input.privacy = request.privacy;
-  input.resilience = request.resilience;
-  input.strategy = request.strategy;
-  if (request.processor_pool.empty()) {
-    for (device::Device* dev : framework_->fleet()->processors()) {
-      input.processor_pool.push_back(dev->id());
-    }
-  } else {
-    input.processor_pool = request.processor_pool;
-  }
-  input.querier = framework_->querier_node();
-  input.num_contributors = framework_->fleet()->contributors().size();
-  input.seed = framework_->config().seed;
-  return planner.Plan(input);
-}
-
 Status QueryScheduler::FeasibilityScreen(
     const SubmitRequest& request, const exec::Deployment& deployment) const {
   // Crowd screen: Overcollection gathers (n+m) partitions of quota tuples,
@@ -147,7 +122,9 @@ Result<uint64_t> QueryScheduler::Submit(SubmitRequest request) {
     return reject(RejectReason::kInvalidRequest,
                   "query_id already in flight");
   }
-  Result<exec::Deployment> planned = PlanRequest(request);
+  Result<exec::Deployment> planned =
+      framework_->Plan(request.query, request.privacy, request.resilience,
+                       request.strategy, request.processor_pool);
   if (!planned.ok()) {
     return reject(RejectReason::kStartFailed, planned.status().ToString());
   }

@@ -141,9 +141,6 @@ class QueryScheduler {
     exec::QueryExecution* execution = nullptr;  // owned by the framework
   };
 
-  // Plans `request` exactly as a fresh EdgeletFramework::Plan would (same
-  // planner input, full fleet pool unless the request restricts it).
-  Result<exec::Deployment> PlanRequest(const SubmitRequest& request) const;
   // Admission-time feasibility screen; OK or the reject reason.
   Status FeasibilityScreen(const SubmitRequest& request,
                            const exec::Deployment& deployment) const;

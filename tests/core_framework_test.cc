@@ -252,11 +252,55 @@ TEST(FrameworkTest, ExecuteRejectsQueryIdZero) {
   ASSERT_FALSE(rejected.ok());
   EXPECT_TRUE(rejected.status().IsInvalidArgument())
       << rejected.status().ToString();
+  // A rejected Execute keeps no half-started execution behind.
+  EXPECT_EQ(fw.live_execution_count(), 0u);
+  EXPECT_EQ(fw.last_execution(), nullptr);
   auto started = fw.StartExecution(*d, QuickExecution(11));
   ASSERT_FALSE(started.ok());
   EXPECT_TRUE(started.status().IsInvalidArgument());
+  EXPECT_EQ(fw.live_execution_count(), 0u);
 
   d->query.query_id = 1;
+  auto report = fw.Execute(*d, QuickExecution(11));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->success);
+}
+
+// A deployment whose shape or devices do not hold is rejected before any
+// actor exists: the discarded execution leaves no scheduled event that
+// would later fire into freed memory (framework_asan_smoke runs this).
+TEST(FrameworkTest, RejectedStartLeavesNoEventBehind) {
+  EdgeletFramework fw(StableConfig(11));
+  ASSERT_TRUE(fw.Init().ok());
+  PrivacyConfig privacy;
+  privacy.max_tuples_per_edgelet = 10;
+  auto d = fw.Plan(HealthSurveyQuery(), privacy, {},
+                   Strategy::kOvercollection);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  const size_t pending = fw.sim()->pending_events();
+
+  exec::Deployment missing_device = *d;
+  missing_device.computer_groups[0][0] = {987654};
+  auto started = fw.StartExecution(missing_device, QuickExecution(11));
+  ASSERT_FALSE(started.ok());
+  EXPECT_TRUE(started.status().IsNotFound()) << started.status().ToString();
+  EXPECT_EQ(fw.sim()->pending_events(), pending);
+  auto executed = fw.Execute(missing_device, QuickExecution(11));
+  ASSERT_FALSE(executed.ok());
+  EXPECT_TRUE(executed.status().IsNotFound());
+  EXPECT_EQ(fw.sim()->pending_events(), pending);
+  EXPECT_EQ(fw.live_execution_count(), 0u);
+
+  exec::Deployment short_grid = *d;
+  short_grid.computer_groups.pop_back();
+  started = fw.StartExecution(short_grid, QuickExecution(11));
+  ASSERT_FALSE(started.ok());
+  EXPECT_TRUE(started.status().IsInvalidArgument());
+  EXPECT_EQ(fw.sim()->pending_events(), pending);
+
+  // Whatever a rejected start left scheduled would fire here, into freed
+  // actors.
+  fw.sim()->RunUntil(fw.sim()->now() + 10 * kMinute);
   auto report = fw.Execute(*d, QuickExecution(11));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->success);

@@ -353,26 +353,17 @@ TEST(RepairTest, ChaosWithRepairNeverYieldsInvalid) {
                       << " failed-safe of 10 repair cells";
 }
 
-// Satellite: the liveness/failover timing knobs must have exactly one
-// source of truth (exec/defaults.h). Before unification,
-// ExecutionConfig::failover_timeout (20 s) silently disagreed with
-// ReplicaRole::Config (15 s), and resend_interval was duplicated across
-// four actor configs.
+// The liveness/failover timing has exactly one source of truth
+// (exec/defaults.h). Before it, ReplicaRole::Config defaulted failover to
+// 15 s while executions ran 20 s. The two configs that still carry these
+// values, as unit-test seams, must default to the constants.
 TEST(RepairDefaultsTest, TimingDefaultsShareOneSourceOfTruth) {
-  exec::ExecutionConfig ec;
   exec::ReplicaRole::Config rc;
-  EXPECT_EQ(ec.ping_period, exec::kDefaultPingPeriod);
-  EXPECT_EQ(rc.ping_period, exec::kDefaultPingPeriod);
-  EXPECT_EQ(ec.failover_timeout, exec::kDefaultFailoverTimeout);
-  EXPECT_EQ(rc.failover_timeout, exec::kDefaultFailoverTimeout);
+  EXPECT_EQ(rc.ping_period, exec::kPingPeriod);
+  EXPECT_EQ(rc.failover_timeout, exec::kFailoverTimeout);
 
-  exec::SnapshotBuilderActor::Config sb;
-  exec::ComputerActor::Config comp;
   exec::CombinerActor::Config comb;
-  EXPECT_EQ(ec.resend_interval, exec::kDefaultResendInterval);
-  EXPECT_EQ(sb.resend_interval, exec::kDefaultResendInterval);
-  EXPECT_EQ(comp.resend_interval, exec::kDefaultResendInterval);
-  EXPECT_EQ(comb.resend_interval, exec::kDefaultResendInterval);
+  EXPECT_EQ(comb.resend_interval, exec::kResendInterval);
 }
 
 TEST(RepairDefaultsTest, RepairOpIdsAreUniquePerOperator) {

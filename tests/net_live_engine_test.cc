@@ -18,7 +18,6 @@ LiveEngine::Options FastOptions(size_t workers = 2) {
   LiveEngine::Options o;
   o.num_workers = workers;
   o.time_scale = 1000 * 1000;  // one simulated second per wall microsecond
-  o.idle_fast_forward = true;
   return o;
 }
 
@@ -66,7 +65,6 @@ TEST(LiveEngineTest, IdleFastForwardCrossesLongSimulatedGaps) {
   LiveEngine::Options o;
   o.num_workers = 2;
   o.time_scale = 1;  // real time: only fast-forward can cross the gap
-  o.idle_fast_forward = true;
   LiveEngine engine(1, o);
   std::atomic<int> fired{0};
   engine.ScheduleAt(1, 10 * kMinute, [&] { fired.fetch_add(1); });

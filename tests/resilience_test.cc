@@ -243,13 +243,10 @@ TEST(MinOvercollectionTest, OldOnePlusVgroupsFormulaUnderProvisions) {
 // ---------------------------------------------------------------------------
 // Heartbeat/lease failure detector.
 
+// The lease timing is the protocol's: 5 s period, 3 misses, backoff x2
+// capped at 3 steps, jitter up to 10 % of the 15 s base lease.
 FailureDetectorConfig DetectorConfig() {
   FailureDetectorConfig cfg;
-  cfg.lease_period = 5 * kSecond;
-  cfg.miss_threshold = 3;
-  cfg.suspicion_backoff = 2.0;
-  cfg.max_backoff_steps = 3;
-  cfg.jitter_fraction = 0.1;
   cfg.seed = 42;
   return cfg;
 }
@@ -297,7 +294,7 @@ TEST(FailureDetectorTest, FalseSuspicionWidensLease) {
   // New lease ~= 2 * 15 s (+ jitter) from the heartbeat.
   EXPECT_GE(widened - beat, 30 * kSecond);
   EXPECT_LE(widened - beat, 30 * kSecond + 3 * kSecond);
-  // Backoff saturates at max_backoff_steps (lease <= 15 s * 2^3 + jitter).
+  // Backoff saturates at kMaxBackoffSteps (lease <= 15 s * 2^3 + jitter).
   for (int i = 0; i < 10; ++i) {
     SimTime d = fd.SuspicionDeadline(1);
     fd.Scan(d + 1);
