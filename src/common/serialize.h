@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -164,22 +165,33 @@ class Reader {
 // field type has one encoding:
 //
 //   uint32_t, uint64_t   fixed width, little-endian
+//   double               fixed 8 bytes, the IEEE-754 bits
 //   int                  varint; rejected above INT_MAX
+//   Varint(u64 field)    varint
 //   bool                 one byte, 0 or 1
 //   wire enum            one byte, rejected above WireLastTag(E{}), a
 //                        constexpr function declared next to the enum
-//   Bytes                varint length, then the bytes
+//   std::string, Bytes   varint length, then the bytes
+//   std::optional<T>     presence bool, then the value if present
 //   std::vector<T>       varint count (CheckCount), then each element
 //   std::pair<A, B>      first, then second
 //   std::map<K, V>,      varint count (CheckCount), then each entry (a
 //   std::set<K>,         map's as a key-value pair); keys strictly
 //   FlatSet64            ascending
+//   Values(map, key_of)  a map whose values carry their keys: varint
+//                        count, then each value; the decoder rebuilds each
+//                        key with key_of and requires them strictly
+//                        ascending
 //   If(flag, value)      value, only if the bool `flag` (earlier in the
-//                        list) is true; such lists use wire::Tie
-//   record with Fields   its fields in order
+//                        list) is true
+//   record with Fields   its fields in order; a record with a
+//                        `Status FinishDecode()` member has it called once
+//                        its fields are read, to check (or complete) them
 //   any other type       its own Serialize(Writer*) / Deserialize(Reader*)
 //
-// Every decode failure is Corruption. Trailing bytes are not an error.
+// A list holding Varint, Values or If is built with wire::Tie, which keeps
+// those wrappers by value. Every decode failure is Corruption. Trailing
+// bytes are not an error.
 namespace wire {
 
 template <typename T>
@@ -190,11 +202,6 @@ template <typename T, template <typename...> class Tmpl>
 inline constexpr bool kIs = false;
 template <template <typename...> class Tmpl, typename... A>
 inline constexpr bool kIs<Tmpl<A...>, Tmpl> = true;
-
-// The fewest bytes one encoded T takes: what CheckCount sizes a count by.
-template <typename T>
-inline constexpr size_t kMinBytes =
-    std::is_same_v<T, uint32_t> ? 4 : std::is_same_v<T, uint64_t> ? 8 : 1;
 
 // A field present only when `flag`, a bool field earlier in the same
 // list, is true.
@@ -208,7 +215,63 @@ Guarded<V> If(const bool& flag, V& value) {
   return {flag, value};
 }
 
-// std::tie for a field list with If() guards, which it holds by value.
+// A 64-bit unsigned field written as a varint.
+template <typename V>
+struct VarintField {
+  V& value;
+};
+template <typename V>
+VarintField<V> Varint(V& value) {
+  static_assert(std::is_unsigned_v<std::remove_const_t<V>> && sizeof(V) == 8);
+  return {value};
+}
+
+// A map whose values determine their keys: only the values go on the wire,
+// in key order, and the decoder rebuilds each key with `key_of`.
+template <typename Map, typename KeyOf>
+struct MapValues {
+  Map& map;
+  KeyOf key_of;
+};
+template <typename Map, typename KeyOf>
+MapValues<Map, KeyOf> Values(Map& map, KeyOf key_of) {
+  return {map, key_of};
+}
+
+template <typename T>
+constexpr size_t MinBytes();
+
+template <typename... F>
+constexpr size_t SumMinBytes(const std::tuple<F...>*) {
+  return (size_t{0} + ... + MinBytes<std::remove_cvref_t<F>>());
+}
+
+// The fewest bytes one encoded T takes: what CheckCount sizes a count by.
+// A record takes the sum of its fields' (at least 1).
+template <typename T>
+constexpr size_t MinBytes() {
+  if constexpr (std::is_same_v<T, uint32_t>) {
+    return 4;
+  } else if constexpr (std::is_same_v<T, uint64_t> ||
+                       std::is_same_v<T, double>) {
+    return 8;
+  } else if constexpr (kIs<T, Guarded>) {
+    return 0;
+  } else if constexpr (kIs<T, std::pair>) {
+    return MinBytes<std::remove_cv_t<typename T::first_type>>() +
+           MinBytes<typename T::second_type>();
+  } else if constexpr (Record<T>) {
+    using List = decltype(T::Fields(std::declval<T&>()));
+    return std::max<size_t>(1, SumMinBytes(static_cast<const List*>(nullptr)));
+  } else {
+    return 1;
+  }
+}
+template <typename T>
+inline constexpr size_t kMinBytes = MinBytes<T>();
+
+// std::tie for a field list with Varint, Values or If fields, which it
+// holds by value.
 template <typename... F>
 auto Tie(F&&... fields) {
   return std::tuple<F...>(std::forward<F>(fields)...);
@@ -230,13 +293,22 @@ void Put(Writer* w, const T& v) {
     w->PutU32(v);
   } else if constexpr (std::is_same_v<T, uint64_t>) {
     w->PutU64(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w->PutDouble(v);
   } else if constexpr (std::is_same_v<T, int>) {
     w->PutVarint(static_cast<uint64_t>(v));
+  } else if constexpr (kIs<T, VarintField>) {
+    w->PutVarint(v.value);
   } else if constexpr (std::is_enum_v<T>) {
     static_assert(std::is_same_v<std::underlying_type_t<T>, uint8_t>);
     w->PutU8(static_cast<uint8_t>(v));
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    w->PutString(v);
   } else if constexpr (std::is_same_v<T, Bytes>) {
     w->PutBytes(v);
+  } else if constexpr (kIs<T, std::optional>) {
+    w->PutBool(v.has_value());
+    if (v.has_value()) Put(w, *v);
   } else if constexpr (std::is_same_v<T, FlatSet64>) {
     std::vector<uint64_t> keys = v.Keys();
     std::sort(keys.begin(), keys.end());
@@ -248,6 +320,9 @@ void Put(Writer* w, const T& v) {
   } else if constexpr (kIs<T, std::pair>) {
     Put(w, v.first);
     Put(w, v.second);
+  } else if constexpr (kIs<T, MapValues>) {
+    w->PutVarint(v.map.size());
+    for (const auto& entry : v.map) Put(w, entry.second);
   } else if constexpr (kIs<T, Guarded>) {
     if (v.flag) Put(w, v.value);
   } else if constexpr (Record<T>) {
@@ -300,6 +375,28 @@ Status GetKeyed(Reader* r, T* out) {
   return Status::OK();
 }
 
+// Values(map, key_of): a count, then values whose rebuilt keys are
+// strictly ascending.
+template <typename Map, typename KeyOf>
+Status GetValues(Reader* r, MapValues<Map, KeyOf>* out) {
+  using Value = typename Map::mapped_type;
+  auto n = r->GetVarint();
+  if (!n.ok()) return n.status();
+  EDGELET_RETURN_NOT_OK(r->CheckCount(*n, kMinBytes<Value>));
+  Map got;
+  for (uint64_t i = 0; i < *n; ++i) {
+    Value value;
+    EDGELET_RETURN_NOT_OK(GetField(r, &value));
+    auto key = out->key_of(value);
+    if (!got.empty() && !(got.rbegin()->first < key)) {
+      return Status::Corruption("keys not strictly ascending");
+    }
+    got.emplace_hint(got.end(), std::move(key), std::move(value));
+  }
+  out->map = std::move(got);
+  return Status::OK();
+}
+
 template <typename T>
 Status GetField(Reader* r, T* out) {
   if constexpr (std::is_same_v<T, bool>) {
@@ -308,6 +405,13 @@ Status GetField(Reader* r, T* out) {
     return Assign(r->GetU32(), out);
   } else if constexpr (std::is_same_v<T, uint64_t>) {
     return Assign(r->GetU64(), out);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return Assign(r->GetDouble(), out);
+  } else if constexpr (kIs<T, VarintField>) {
+    auto v = r->GetVarint();
+    if (!v.ok()) return v.status();
+    out->value = *v;
+    return Status::OK();
   } else if constexpr (std::is_same_v<T, int>) {
     auto v = r->GetVarint();
     if (!v.ok()) return v.status();
@@ -326,8 +430,18 @@ Status GetField(Reader* r, T* out) {
     }
     *out = static_cast<T>(*tag);
     return Status::OK();
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return Assign(r->GetString(), out);
   } else if constexpr (std::is_same_v<T, Bytes>) {
     return Assign(r->GetBytes(), out);
+  } else if constexpr (kIs<T, std::optional>) {
+    auto has = r->GetBool();
+    if (!has.ok()) return has.status();
+    if (!*has) {
+      out->reset();
+      return Status::OK();
+    }
+    return GetField(r, &out->emplace());
   } else if constexpr (kIs<T, std::vector>) {
     auto n = r->GetVarint();
     if (!n.ok()) return n.status();
@@ -345,6 +459,8 @@ Status GetField(Reader* r, T* out) {
   } else if constexpr (kIs<T, std::map> || kIs<T, std::set> ||
                        std::is_same_v<T, FlatSet64>) {
     return GetKeyed(r, out);
+  } else if constexpr (kIs<T, MapValues>) {
+    return GetValues(r, out);
   } else if constexpr (kIs<T, Guarded>) {
     return out->flag ? GetField(r, &out->value) : Status::OK();
   } else if constexpr (Record<T>) {
@@ -352,6 +468,9 @@ Status GetField(Reader* r, T* out) {
     auto fields = T::Fields(*out);
     std::apply([&](auto&... f) { ((st = GetField(r, &f)).ok() && ...); },
                fields);
+    if constexpr (requires { out->FinishDecode(); }) {
+      if (st.ok()) st = out->FinishDecode();
+    }
     return st;
   } else {
     return Assign(T::Deserialize(r), out);

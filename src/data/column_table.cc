@@ -214,7 +214,7 @@ Result<ColumnTable> ColumnTable::FromTable(const Table& table) {
 }
 
 void ColumnTable::Serialize(Writer* w) const {
-  schema_.Serialize(w);
+  wire::Put(w, schema_);
   w->PutVarint(num_rows_);
   for (size_t r = 0; r < num_rows_; ++r) {
     for (size_t c = 0; c < columns_.size(); ++c) WriteCell(*this, r, c, w);
@@ -222,7 +222,7 @@ void ColumnTable::Serialize(Writer* w) const {
 }
 
 Result<ColumnTable> ColumnTable::Deserialize(Reader* r) {
-  auto schema = Schema::Deserialize(r);
+  auto schema = wire::Read<Schema>(r);
   if (!schema.ok()) return schema.status();
   ColumnTable out(std::move(*schema));
   auto n = out.AppendSerializedRows(r);
@@ -411,9 +411,7 @@ Result<WireProjection> WireProjection::Resolve(
   auto projected = store_schema.Project(columns);
   if (!projected.ok()) return projected.status();
   WireProjection out;
-  Writer w;
-  projected->Serialize(&w);
-  out.schema_bytes_ = w.Take();
+  out.schema_bytes_ = wire::Encode(*projected);
   out.columns_.reserve(columns.size());
   for (const auto& c : columns) {
     out.columns_.push_back(static_cast<uint32_t>(*store_schema.IndexOf(c)));

@@ -2,6 +2,7 @@
 #define EDGELET_DATA_SCHEMA_H_
 
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/serialize.h"
@@ -14,6 +15,8 @@ struct Column {
   std::string name;
   ValueType type = ValueType::kNull;
 
+  template <typename M>
+  static auto Fields(M& m) { return std::tie(m.name, m.type); }
   bool operator==(const Column& other) const {
     return name == other.name && type == other.type;
   }
@@ -37,8 +40,9 @@ class Schema {
   // Schema restricted to `names`, in the given order.
   Result<Schema> Project(const std::vector<std::string>& names) const;
 
-  void Serialize(Writer* w) const;
-  static Result<Schema> Deserialize(Reader* r);
+  // A column count, then each column's name and type tag.
+  template <typename M>
+  static auto Fields(M& m) { return std::tie(m.columns_); }
 
   bool operator==(const Schema& other) const {
     return columns_ == other.columns_;

@@ -42,7 +42,7 @@ void Table::SortRows() {
 }
 
 void Table::Serialize(Writer* w) const {
-  schema_.Serialize(w);
+  wire::Put(w, schema_);
   w->PutVarint(rows_.size());
   for (const auto& r : rows_) {
     for (const auto& v : r) v.Serialize(w);
@@ -50,7 +50,7 @@ void Table::Serialize(Writer* w) const {
 }
 
 Result<Table> Table::Deserialize(Reader* r) {
-  auto schema = Schema::Deserialize(r);
+  auto schema = wire::Read<Schema>(r);
   if (!schema.ok()) return schema.status();
   Table out(std::move(*schema));
   auto n = r->GetVarint();

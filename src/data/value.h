@@ -16,6 +16,8 @@ enum class ValueType : uint8_t {
   kDouble = 2,
   kString = 3,
 };
+// The last valid tag: the wire codec rejects any above it.
+constexpr ValueType WireLastTag(ValueType) { return ValueType::kString; }
 
 std::string_view ValueTypeToString(ValueType t);
 

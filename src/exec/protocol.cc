@@ -81,7 +81,7 @@ Status ClusterStats::MergeFrom(const ClusterStats& other) {
       return Status::InvalidArgument("cluster stats aggregate mismatch");
     }
     for (size_t a = 0; a < per_cluster[c].size(); ++a) {
-      per_cluster[c][a].Merge(other.per_cluster[c][a]);
+      EDGELET_RETURN_NOT_OK(per_cluster[c][a].Merge(other.per_cluster[c][a]));
     }
   }
   return Status::OK();

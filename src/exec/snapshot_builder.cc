@@ -115,7 +115,7 @@ Result<uint64_t> SnapshotBuilderActor::DecodeRowsIntoBuffer(Reader* r) {
     }
     return state_.buffer.AppendSerializedRows(r, room);
   }
-  auto schema = data::Schema::Deserialize(r);
+  auto schema = wire::Read<data::Schema>(r);
   if (!schema.ok()) return schema.status();
   data::ColumnTable first(std::move(*schema));
   auto rows = first.AppendSerializedRows(r, room);
@@ -127,9 +127,7 @@ Result<uint64_t> SnapshotBuilderActor::DecodeRowsIntoBuffer(Reader* r) {
 }
 
 void SnapshotBuilderActor::CacheSchemaBytes() {
-  Writer w;
-  state_.buffer.schema().Serialize(&w);
-  schema_bytes_ = w.Take();
+  schema_bytes_ = wire::Encode(state_.buffer.schema());
 }
 
 void SnapshotBuilderActor::MaybeEmit() {

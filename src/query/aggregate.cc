@@ -42,26 +42,6 @@ std::string AggregateSpec::OutputName() const {
   return std::string(AggregateFunctionName(fn)) + "(" + column + ")";
 }
 
-void AggregateSpec::Serialize(Writer* w) const {
-  w->PutU8(static_cast<uint8_t>(fn));
-  w->PutString(column);
-  w->PutDouble(parameter);
-}
-
-Result<AggregateSpec> AggregateSpec::Deserialize(Reader* r) {
-  auto fn = r->GetU8();
-  if (!fn.ok()) return fn.status();
-  if (*fn > static_cast<uint8_t>(AggregateFunction::kQuantile)) {
-    return Status::Corruption("bad aggregate function tag");
-  }
-  auto column = r->GetString();
-  if (!column.ok()) return column.status();
-  auto parameter = r->GetDouble();
-  if (!parameter.ok()) return parameter.status();
-  return AggregateSpec{static_cast<AggregateFunction>(*fn),
-                       std::move(*column), *parameter};
-}
-
 Status AggregateState::Add(const data::Value& v, bool count_star) {
   if (v.is_null()) {
     if (count_star) ++count_;
@@ -117,22 +97,22 @@ Status AggregateState::Accumulate(AggregateFunction fn, const data::Value& v,
   }
 }
 
-void AggregateState::Merge(const AggregateState& other) {
-  count_ += other.count_;
+Status AggregateState::Merge(const AggregateState& other) {
   if (other.sketch_.has_value()) {
     if (!sketch_.has_value()) {
       sketch_ = other.sketch_;
     } else {
-      (void)sketch_->Merge(*other.sketch_);
+      EDGELET_RETURN_NOT_OK(sketch_->Merge(*other.sketch_));
     }
   }
   if (other.hll_.has_value()) {
     if (!hll_.has_value()) {
       hll_ = other.hll_;
     } else {
-      (void)hll_->Merge(*other.hll_);
+      EDGELET_RETURN_NOT_OK(hll_->Merge(*other.hll_));
     }
   }
+  count_ += other.count_;
   sum_ += other.sum_;
   sum_sq_ += other.sum_sq_;
   if (other.has_numeric_) {
@@ -145,6 +125,7 @@ void AggregateState::Merge(const AggregateState& other) {
       max_ = std::max(max_, other.max_);
     }
   }
+  return Status::OK();
 }
 
 data::Value AggregateState::Finalize(const AggregateSpec& spec) const {
@@ -197,56 +178,6 @@ data::Value AggregateState::Finalize(AggregateFunction fn) const {
     }
   }
   return data::Value::Null();
-}
-
-void AggregateState::Serialize(Writer* w) const {
-  w->PutVarint(count_);
-  w->PutDouble(sum_);
-  w->PutDouble(sum_sq_);
-  w->PutDouble(min_);
-  w->PutDouble(max_);
-  w->PutBool(has_numeric_);
-  w->PutBool(hll_.has_value());
-  if (hll_.has_value()) hll_->Serialize(w);
-  w->PutBool(sketch_.has_value());
-  if (sketch_.has_value()) sketch_->Serialize(w);
-}
-
-Result<AggregateState> AggregateState::Deserialize(Reader* r) {
-  AggregateState s;
-  auto count = r->GetVarint();
-  if (!count.ok()) return count.status();
-  s.count_ = *count;
-  auto sum = r->GetDouble();
-  if (!sum.ok()) return sum.status();
-  s.sum_ = *sum;
-  auto sum_sq = r->GetDouble();
-  if (!sum_sq.ok()) return sum_sq.status();
-  s.sum_sq_ = *sum_sq;
-  auto min = r->GetDouble();
-  if (!min.ok()) return min.status();
-  s.min_ = *min;
-  auto max = r->GetDouble();
-  if (!max.ok()) return max.status();
-  s.max_ = *max;
-  auto has = r->GetBool();
-  if (!has.ok()) return has.status();
-  s.has_numeric_ = *has;
-  auto has_hll = r->GetBool();
-  if (!has_hll.ok()) return has_hll.status();
-  if (*has_hll) {
-    auto hll = HyperLogLog::Deserialize(r);
-    if (!hll.ok()) return hll.status();
-    s.hll_ = std::move(*hll);
-  }
-  auto has_sketch = r->GetBool();
-  if (!has_sketch.ok()) return has_sketch.status();
-  if (*has_sketch) {
-    auto sketch = QuantileSketch::Deserialize(r);
-    if (!sketch.ok()) return sketch.status();
-    s.sketch_ = std::move(*sketch);
-  }
-  return s;
 }
 
 bool AggregateState::operator==(const AggregateState& other) const {

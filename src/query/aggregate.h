@@ -32,6 +32,10 @@ enum class AggregateFunction : uint8_t {
   // rank comes from AggregateSpec::parameter (0.5 = median).
   kQuantile = 8,
 };
+// The last valid tag: the wire codec rejects any above it.
+constexpr AggregateFunction WireLastTag(AggregateFunction) {
+  return AggregateFunction::kQuantile;
+}
 
 // True for aggregates whose result is integral (COUNT, COUNT DISTINCT).
 bool AggregateYieldsInteger(AggregateFunction fn);
@@ -48,8 +52,8 @@ struct AggregateSpec {
   // "AVG(bmi)" / "Q50(bmi)"-style result column name.
   std::string OutputName() const;
 
-  void Serialize(Writer* w) const;
-  static Result<AggregateSpec> Deserialize(Reader* r);
+  template <typename M>
+  static auto Fields(M& m) { return std::tie(m.fn, m.column, m.parameter); }
 
   bool operator==(const AggregateSpec& other) const {
     return fn == other.fn && column == other.column &&
@@ -81,7 +85,10 @@ class AggregateState {
   Status Accumulate(AggregateFunction fn, const data::Value& v,
                     bool count_star);
 
-  void Merge(const AggregateState& other);
+  // Fails when the sketches cannot be united (a foreign HLL precision or
+  // quantile-sketch width); the state is then partly merged and must be
+  // discarded.
+  Status Merge(const AggregateState& other);
 
   // NULL result when no value was observed (except COUNT -> 0).
   // kQuantile needs the rank from the spec; the fn-only overload uses the
@@ -91,8 +98,11 @@ class AggregateState {
 
   uint64_t count() const { return count_; }
 
-  void Serialize(Writer* w) const;
-  static Result<AggregateState> Deserialize(Reader* r);
+  template <typename M>
+  static auto Fields(M& m) {
+    return wire::Tie(wire::Varint(m.count_), m.sum_, m.sum_sq_, m.min_, m.max_,
+                     m.has_numeric_, m.hll_, m.sketch_);
+  }
 
   bool operator==(const AggregateState& other) const;
 

@@ -11,32 +11,6 @@ void SerializeKey(const data::Tuple& key, Writer* w) {
 
 }  // namespace
 
-void GroupBySpec::Serialize(Writer* w) const {
-  w->PutVarint(keys.size());
-  for (const auto& k : keys) w->PutString(k);
-  w->PutVarint(aggregates.size());
-  for (const auto& a : aggregates) a.Serialize(w);
-}
-
-Result<GroupBySpec> GroupBySpec::Deserialize(Reader* r) {
-  GroupBySpec spec;
-  auto nk = r->GetVarint();
-  if (!nk.ok()) return nk.status();
-  for (uint64_t i = 0; i < *nk; ++i) {
-    auto k = r->GetString();
-    if (!k.ok()) return k.status();
-    spec.keys.push_back(std::move(*k));
-  }
-  auto na = r->GetVarint();
-  if (!na.ok()) return na.status();
-  for (uint64_t i = 0; i < *na; ++i) {
-    auto a = AggregateSpec::Deserialize(r);
-    if (!a.ok()) return a.status();
-    spec.aggregates.push_back(std::move(*a));
-  }
-  return spec;
-}
-
 Result<GroupedAggregation> GroupedAggregation::Compute(
     const data::TableView& view, const GroupBySpec& spec) {
   GroupedAggregation out(spec);
@@ -109,7 +83,7 @@ Status GroupedAggregation::Merge(const GroupedAggregation& other) {
       it->second = group;
     } else {
       for (size_t i = 0; i < group.states.size(); ++i) {
-        it->second.states[i].Merge(group.states[i]);
+        EDGELET_RETURN_NOT_OK(it->second.states[i].Merge(group.states[i]));
       }
     }
   }
@@ -148,44 +122,20 @@ data::Table GroupedAggregation::Finalize() const {
   return out;
 }
 
-void GroupedAggregation::Serialize(Writer* w) const {
-  spec_.Serialize(w);
-  w->PutVarint(groups_.size());
+Status GroupedAggregation::FinishDecode() const {
   for (const auto& [key_bytes, group] : groups_) {
-    w->PutVarint(group.key.size());
-    for (const auto& v : group.key) v.Serialize(w);
-    w->PutVarint(group.states.size());
-    for (const auto& s : group.states) s.Serialize(w);
+    if (group.key.size() != spec_.keys.size() ||
+        group.states.size() != spec_.aggregates.size()) {
+      return Status::Corruption("group shape differs from its GroupBy spec");
+    }
   }
+  return Status::OK();
 }
 
-Result<GroupedAggregation> GroupedAggregation::Deserialize(Reader* r) {
-  auto spec = GroupBySpec::Deserialize(r);
-  if (!spec.ok()) return spec.status();
-  GroupedAggregation out(std::move(*spec));
-  auto n = r->GetVarint();
-  if (!n.ok()) return n.status();
-  Writer key_writer;
-  for (uint64_t g = 0; g < *n; ++g) {
-    Group group;
-    auto nk = r->GetVarint();
-    if (!nk.ok()) return nk.status();
-    for (uint64_t i = 0; i < *nk; ++i) {
-      auto v = data::Value::Deserialize(r);
-      if (!v.ok()) return v.status();
-      group.key.push_back(std::move(*v));
-    }
-    auto ns = r->GetVarint();
-    if (!ns.ok()) return ns.status();
-    for (uint64_t i = 0; i < *ns; ++i) {
-      auto s = AggregateState::Deserialize(r);
-      if (!s.ok()) return s.status();
-      group.states.push_back(std::move(*s));
-    }
-    SerializeKey(group.key, &key_writer);
-    out.groups_.emplace(key_writer.data(), std::move(group));
-  }
-  return out;
+Bytes GroupedAggregation::KeyBytes(const Group& group) {
+  Writer w;
+  SerializeKey(group.key, &w);
+  return w.Take();
 }
 
 }  // namespace edgelet::query

@@ -3,6 +3,7 @@
 
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "data/column_table.h"
@@ -16,8 +17,8 @@ struct GroupBySpec {
   std::vector<std::string> keys;  // empty => single global group
   std::vector<AggregateSpec> aggregates;
 
-  void Serialize(Writer* w) const;
-  static Result<GroupBySpec> Deserialize(Reader* r);
+  template <typename M>
+  static auto Fields(M& m) { return std::tie(m.keys, m.aggregates); }
   bool operator==(const GroupBySpec& other) const {
     return keys == other.keys && aggregates == other.aggregates;
   }
@@ -38,7 +39,8 @@ class GroupedAggregation {
   static Result<GroupedAggregation> Compute(const data::TableView& view,
                                             const GroupBySpec& spec);
 
-  // Merges a partial result from another partition; specs must match.
+  // Merges a partial result from another partition; specs must match and
+  // every state must merge (AggregateState::Merge).
   Status Merge(const GroupedAggregation& other);
 
   size_t num_groups() const { return groups_.size(); }
@@ -47,14 +49,26 @@ class GroupedAggregation {
   // deterministic key order.
   data::Table Finalize() const;
 
-  void Serialize(Writer* w) const;
-  static Result<GroupedAggregation> Deserialize(Reader* r);
+  // On the wire: the spec, then the groups in key order; the map keys
+  // are rebuilt from the group keys.
+  template <typename M>
+  static auto Fields(M& m) {
+    return wire::Tie(m.spec_, wire::Values(m.groups_, &KeyBytes));
+  }
+  // Rejects a group whose key or state count differs from the spec's.
+  Status FinishDecode() const;
 
  private:
   struct Group {
     data::Tuple key;
     std::vector<AggregateState> states;
+
+    template <typename M>
+    static auto Fields(M& m) { return std::tie(m.key, m.states); }
   };
+
+  // The map key of a group: its key values, serialized.
+  static Bytes KeyBytes(const Group& group);
 
   GroupBySpec spec_;
   // Keyed by the serialized key tuple => deterministic iteration order.

@@ -1,6 +1,9 @@
 #ifndef EDGELET_QUERY_GROUPING_SETS_H_
 #define EDGELET_QUERY_GROUPING_SETS_H_
 
+#include <optional>
+#include <tuple>
+
 #include "query/groupby.h"
 
 namespace edgelet::query {
@@ -19,8 +22,8 @@ struct GroupingSetsSpec {
   // All columns referenced anywhere (keys + aggregate inputs).
   std::vector<std::string> AllColumns() const;
 
-  void Serialize(Writer* w) const;
-  static Result<GroupingSetsSpec> Deserialize(Reader* r);
+  template <typename M>
+  static auto Fields(M& m) { return std::tie(m.sets, m.aggregates); }
   bool operator==(const GroupingSetsSpec& other) const {
     return sets == other.sets && aggregates == other.aggregates;
   }
@@ -48,22 +51,22 @@ class GroupingSetsResult {
   Status Merge(const GroupingSetsResult& other);
 
   bool HasSet(size_t i) const;
-  const GroupedAggregation& set_result(size_t i) const {
-    return per_set_[i];
-  }
 
   // SQL GROUPING SETS output: one row block per set over the union of key
   // columns; keys absent from a set are NULL. A "grouping_set" INT64 column
   // disambiguates (stands in for the SQL GROUPING() function).
   Result<data::Table> Finalize() const;
 
-  void Serialize(Writer* w) const;
-  static Result<GroupingSetsResult> Deserialize(Reader* r);
+  template <typename M>
+  static auto Fields(M& m) { return std::tie(m.spec_, m.per_set_); }
+  // Rejects a set count other than the spec's, and a present set whose
+  // GroupBy spec is not {sets[i], aggregates}.
+  Status FinishDecode() const;
 
  private:
   GroupingSetsSpec spec_;
-  std::vector<GroupedAggregation> per_set_;
-  std::vector<bool> present_;
+  // One entry per grouping set; empty when no computed partial covers it.
+  std::vector<std::optional<GroupedAggregation>> per_set_;
 };
 
 }  // namespace edgelet::query

@@ -82,41 +82,14 @@ size_t QuantileSketch::RetainedItems() const {
   return total;
 }
 
-void QuantileSketch::Serialize(Writer* w) const {
-  w->PutVarint(k_);
-  w->PutVarint(count_);
-  w->PutVarint(levels_.size());
-  for (const auto& level : levels_) {
-    w->PutVarint(level.size());
-    for (double v : level) w->PutDouble(v);
-  }
-}
-
-Result<QuantileSketch> QuantileSketch::Deserialize(Reader* r) {
-  auto k = r->GetVarint();
-  if (!k.ok()) return k.status();
-  QuantileSketch out(*k);
-  auto count = r->GetVarint();
-  if (!count.ok()) return count.status();
-  out.count_ = *count;
-  auto num_levels = r->GetVarint();
-  if (!num_levels.ok()) return num_levels.status();
-  if (*num_levels == 0 || *num_levels > 64) {
+Status QuantileSketch::FinishDecode() {
+  if (levels_.empty() || levels_.size() > 64) {
     return Status::Corruption("bad quantile sketch level count");
   }
-  out.levels_.assign(*num_levels, {});
-  for (uint64_t h = 0; h < *num_levels; ++h) {
-    auto n = r->GetVarint();
-    if (!n.ok()) return n.status();
-    EDGELET_RETURN_NOT_OK(r->CheckCount(*n, sizeof(double)));
-    out.levels_[h].reserve(*n);
-    for (uint64_t i = 0; i < *n; ++i) {
-      auto v = r->GetDouble();
-      if (!v.ok()) return v.status();
-      out.levels_[h].push_back(*v);
-    }
-  }
-  return out;
+  const QuantileSketch fresh(k_);
+  k_ = fresh.k_;
+  rng_ = fresh.rng_;
+  return Status::OK();
 }
 
 }  // namespace edgelet::query

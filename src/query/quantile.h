@@ -2,6 +2,7 @@
 #define EDGELET_QUERY_QUANTILE_H_
 
 #include <cstdint>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -35,8 +36,13 @@ class QuantileSketch {
   // Retained items across all levels (memory/wire footprint driver).
   size_t RetainedItems() const;
 
-  void Serialize(Writer* w) const;
-  static Result<QuantileSketch> Deserialize(Reader* r);
+  template <typename M>
+  static auto Fields(M& m) {
+    return wire::Tie(wire::Varint(m.k_), wire::Varint(m.count_), m.levels_);
+  }
+  // Checks the decoded level count and makes the sketch the one
+  // QuantileSketch(k) would be: the width clamped, the RNG seeded from it.
+  Status FinishDecode();
 
   bool operator==(const QuantileSketch& other) const {
     return k_ == other.k_ && count_ == other.count_ &&

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <tuple>
@@ -380,6 +381,88 @@ TEST(WireCodecTest, EveryDecodeFailureIsCorruption) {
   above.PutVarint(uint64_t{INT_MAX} + 1);
   EXPECT_EQ(wire::Decode<Count>(above.data()).status().code(),
             StatusCode::kCorruption);
+}
+
+// A map entry that carries its own key, and a record that checks what it
+// decoded.
+struct Entry {
+  std::string name;
+  uint64_t hits = 0;
+  template <typename M>
+  static auto Fields(M& m) { return wire::Tie(m.name, wire::Varint(m.hits)); }
+  bool operator==(const Entry&) const = default;
+};
+
+std::string NameOf(const Entry& e) { return e.name; }
+
+struct Ledger {
+  std::optional<double> scale;
+  std::map<std::string, Entry> entries;
+  static inline int finished = 0;
+  template <typename M>
+  static auto Fields(M& m) {
+    return wire::Tie(m.scale, wire::Values(m.entries, &NameOf));
+  }
+  Status FinishDecode() {
+    ++finished;
+    if (scale.has_value() && *scale < 0) return Status::InvalidArgument("<0");
+    return Status::OK();
+  }
+  bool operator==(const Ledger& other) const {
+    return scale == other.scale && entries == other.entries;
+  }
+};
+
+// A Ledger: the scale if any, then entries in the order given.
+Bytes LedgerBytes(std::optional<double> scale,
+                  const std::vector<Entry>& entries) {
+  Writer w;
+  w.PutBool(scale.has_value());
+  if (scale.has_value()) w.PutDouble(*scale);
+  w.PutVarint(entries.size());
+  for (const Entry& e : entries) {
+    w.PutString(e.name);
+    w.PutVarint(e.hits);
+  }
+  return w.Take();
+}
+
+TEST(WireCodecTest, LeafRules) {
+  // std::string and double, optional, Varint and Values in one list.
+  const Ledger ledger{-0.0, {{"a", {"a", 300}}, {"b", {"b", 1}}}};
+  const Bytes bytes = LedgerBytes(-0.0, {{"a", 300}, {"b", 1}});
+  EXPECT_EQ(wire::Encode(ledger), bytes);
+  Ledger::finished = 0;
+  auto back = wire::Decode<Ledger>(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(*back, ledger);
+  EXPECT_TRUE(std::signbit(*back->scale));
+  EXPECT_EQ(Ledger::finished, 1);
+  EXPECT_EQ(wire::Encode(Ledger{}), LedgerBytes(std::nullopt, {}));
+
+  // Rebuilt keys must be strictly ascending.
+  for (const Bytes& bad : {LedgerBytes(1.0, {{"b", 1}, {"a", 1}}),
+                           LedgerBytes(1.0, {{"a", 1}, {"a", 2}})}) {
+    EXPECT_EQ(wire::Decode<Ledger>(bad).status().code(),
+              StatusCode::kCorruption);
+  }
+  // FinishDecode runs once the fields are read; its failure is
+  // Corruption.
+  EXPECT_EQ(wire::Decode<Ledger>(LedgerBytes(-1.0, {})).status().code(),
+            StatusCode::kCorruption);
+
+  // A count is checked at a record's least encoded size, the sum of its
+  // fields': a string (1 byte) and a varint (1) per Entry, 8 per double.
+  static_assert(wire::kMinBytes<Entry> == 2);
+  static_assert(wire::kMinBytes<Ledger> == 2);
+  static_assert(wire::kMinBytes<double> == 8);
+  for (uint64_t claimed : {uint64_t{3}, uint64_t{5}}) {
+    Writer w;
+    w.PutVarint(claimed);
+    for (int i = 0; i < 3; ++i) w.PutDouble(1.0);
+    Reader r(w.data());
+    EXPECT_EQ(wire::Read<std::vector<double>>(&r).ok(), claimed == 3);
+  }
 }
 
 TEST(BytesTest, HexRoundTrip) {

@@ -114,7 +114,7 @@ TEST(ColumnTableTest, RoundTripWithNulls) {
 Bytes RowSection(const Table& t) {
   const Bytes all = Serialized(t);
   Reader r(all);
-  EXPECT_TRUE(Schema::Deserialize(&r).ok());
+  EXPECT_TRUE(wire::Read<Schema>(&r).ok());
   return Bytes(all.end() - static_cast<ptrdiff_t>(r.remaining()), all.end());
 }
 

@@ -100,9 +100,9 @@ TEST(SchemaTest, Project) {
 TEST(SchemaTest, SerializationRoundTrip) {
   Schema s = TestSchema();
   Writer w;
-  s.Serialize(&w);
+  wire::Put(&w, s);
   Reader r(w.data());
-  auto back = Schema::Deserialize(&r);
+  auto back = wire::Read<Schema>(&r);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, s);
 }
@@ -162,7 +162,7 @@ constexpr uint64_t kHostileCount = uint64_t{1} << 40;
 
 TEST(TableTest, HostileRowCountRejected) {
   Writer w;
-  TestSchema().Serialize(&w);
+  wire::Put(&w, TestSchema());
   w.PutVarint(kHostileCount);
   Value(int64_t{1}).Serialize(&w);
   Value("x").Serialize(&w);
@@ -176,7 +176,7 @@ TEST(TableTest, HostileRowCountRejected) {
 TEST(TableTest, HostileRowCountRejectedForZeroColumnSchema) {
   // No cells to run out of: each zero-column row is charged one byte.
   Writer w;
-  Schema().Serialize(&w);
+  wire::Put(&w, Schema());
   w.PutVarint(kHostileCount);
   Reader r(w.data());
   EXPECT_FALSE(Table::Deserialize(&r).ok());
@@ -188,7 +188,7 @@ TEST(SchemaTest, HostileColumnCountRejected) {
   w.PutString("a");
   w.PutU8(static_cast<uint8_t>(ValueType::kInt64));
   Reader r(w.data());
-  auto s = Schema::Deserialize(&r);
+  auto s = wire::Read<Schema>(&r);
   ASSERT_FALSE(s.ok());
   EXPECT_EQ(s.status().code(), StatusCode::kCorruption);
 }

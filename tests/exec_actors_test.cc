@@ -319,7 +319,7 @@ TEST_F(ActorTest, SnapshotBuilderRejectsHostileContributionRowCount) {
     Writer w;
     w.PutU64(1);
     w.PutU64(first ? 100 : 101);
-    MiniSchema().Serialize(&w);
+    wire::Put(&w, MiniSchema());
     w.PutVarint(uint64_t{1} << 40);
     data::Value("north").Serialize(&w);
     data::Value(20.0).Serialize(&w);
@@ -1157,7 +1157,7 @@ Bytes CombinerState(
     for (uint32_t vg : entry.second) {
       w.PutU32(vg);
       w.PutU32(0);
-      partial->Serialize(&w);
+      wire::Put(&w, *partial);
     }
   }
   w.PutVarint(complete_order.size());

@@ -27,9 +27,9 @@ TEST(AggregateSpecTest, OutputName) {
 TEST(AggregateSpecTest, SerializationRoundTrip) {
   AggregateSpec spec{AggregateFunction::kVariance, "systolic_bp"};
   Writer w;
-  spec.Serialize(&w);
+  wire::Put(&w, spec);
   Reader r(w.data());
-  auto back = AggregateSpec::Deserialize(&r);
+  auto back = wire::Read<AggregateSpec>(&r);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, spec);
 }
@@ -102,7 +102,7 @@ TEST(AggregateStateTest, MergeEqualsUnion) {
       ASSERT_TRUE(whole.Add(Value(v)).ok());
     }
     AggregateState merged;
-    for (const auto& p : parts) merged.Merge(p);
+    for (const auto& p : parts) ASSERT_TRUE(merged.Merge(p).ok());
     for (auto fn : {AggregateFunction::kCount, AggregateFunction::kSum,
                     AggregateFunction::kMin, AggregateFunction::kMax,
                     AggregateFunction::kAvg, AggregateFunction::kVariance}) {
@@ -122,19 +122,19 @@ TEST(AggregateStateTest, MergeWithEmptyIsIdentity) {
   AggregateState s = StateOf({5.0, 7.0});
   AggregateState empty;
   AggregateState merged = s;
-  merged.Merge(empty);
+  ASSERT_TRUE(merged.Merge(empty).ok());
   EXPECT_EQ(merged, s);
   AggregateState other;
-  other.Merge(s);
+  ASSERT_TRUE(other.Merge(s).ok());
   EXPECT_EQ(other, s);
 }
 
 TEST(AggregateStateTest, SerializationRoundTrip) {
   AggregateState s = StateOf({1.5, -2.5, 100.0});
   Writer w;
-  s.Serialize(&w);
+  wire::Put(&w, s);
   Reader r(w.data());
-  auto back = AggregateState::Deserialize(&r);
+  auto back = wire::Read<AggregateState>(&r);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, s);
 }
@@ -157,7 +157,7 @@ TEST_P(AggregateMergeProperty, MergeCommutesWithUnion) {
   // Merge in a scrambled order — merging must be order-independent.
   AggregateState merged;
   std::vector<int> order{3, 0, 6, 2, 5, 1, 4};
-  for (int i : order) merged.Merge(parts[i]);
+  for (int i : order) ASSERT_TRUE(merged.Merge(parts[i]).ok());
   Value a = merged.Finalize(fn);
   Value b = whole.Finalize(fn);
   if (fn == AggregateFunction::kCount) {

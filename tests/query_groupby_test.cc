@@ -152,11 +152,64 @@ TEST(GroupByTest, SerializationRoundTrip) {
   auto agg = GroupedAggregation::Compute(People(), spec);
   ASSERT_TRUE(agg.ok());
   Writer w;
-  agg->Serialize(&w);
+  wire::Put(&w, *agg);
   Reader r(w.data());
-  auto back = GroupedAggregation::Deserialize(&r);
+  auto back = wire::Read<GroupedAggregation>(&r);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->Finalize(), agg->Finalize());
+}
+
+// The bytes of an AggregateState over one value, held only in `sketch`:
+// an HLL when `hll`, else a quantile sketch.
+template <typename Sketch>
+Bytes StateHolding(const Sketch& sketch, bool hll) {
+  Writer w;
+  w.PutVarint(1);                                // count
+  for (int i = 0; i < 4; ++i) w.PutDouble(0.0);  // sum, sum_sq, min, max
+  w.PutBool(false);                              // has_numeric
+  w.PutBool(hll);
+  if (hll) wire::Put(&w, sketch);
+  w.PutBool(!hll);
+  if (!hll) wire::Put(&w, sketch);
+  return w.Take();
+}
+
+// A decoded partial for the one-aggregate `spec`: the group "north",
+// holding `state`.
+GroupedAggregation NorthPartial(const GroupBySpec& spec, const Bytes& state) {
+  Writer w;
+  wire::Put(&w, spec);
+  w.PutVarint(1);  // groups
+  w.PutVarint(1);  // key values
+  Value("north").Serialize(&w);
+  w.PutVarint(1);  // states
+  w.PutRaw(state.data(), state.size());
+  Reader r(w.data());
+  auto out = wire::Read<GroupedAggregation>(&r);
+  EXPECT_TRUE(out.ok()) << out.status().ToString();
+  return out.ok() ? std::move(*out) : GroupedAggregation();
+}
+
+TEST(GroupByTest, MergeFailsOnForeignSketches) {
+  // Computed partials carry the default HLL precision (10) and quantile
+  // sketch width (128). A partial built with other ones cannot be united
+  // with them: the merge must fail, not count the group as if its
+  // sketch held no values.
+  HyperLogLog hll(12);
+  hll.AddHash(42);
+  QuantileSketch sketch(16);
+  sketch.Add(1.0);
+  for (bool is_hll : {true, false}) {
+    GroupBySpec spec{{"region"},
+                     {{is_hll ? AggregateFunction::kCountDistinct
+                              : AggregateFunction::kQuantile,
+                       "bmi"}}};
+    auto acc = GroupedAggregation::Compute(People(), spec);
+    ASSERT_TRUE(acc.ok());
+    const GroupedAggregation foreign = NorthPartial(
+        spec, is_hll ? StateHolding(hll, true) : StateHolding(sketch, false));
+    EXPECT_FALSE(acc->Merge(foreign).ok()) << (is_hll ? "HLL" : "sketch");
+  }
 }
 
 // --- Grouping sets -----------------------------------------------------------
@@ -276,9 +329,9 @@ TEST(GroupingSetsTest, SerializationRoundTrip) {
   auto result = GroupingSetsResult::Compute(People(), DemoSpec());
   ASSERT_TRUE(result.ok());
   Writer w;
-  result->Serialize(&w);
+  wire::Put(&w, *result);
   Reader r(w.data());
-  auto back = GroupingSetsResult::Deserialize(&r);
+  auto back = wire::Read<GroupingSetsResult>(&r);
   ASSERT_TRUE(back.ok());
   auto t1 = result->Finalize();
   auto t2 = back->Finalize();
@@ -290,9 +343,9 @@ TEST(GroupingSetsTest, PartialSerializationPreservesPresence) {
   auto a = GroupingSetsResult::ComputeSets(People(), DemoSpec(), {1});
   ASSERT_TRUE(a.ok());
   Writer w;
-  a->Serialize(&w);
+  wire::Put(&w, *a);
   Reader r(w.data());
-  auto back = GroupingSetsResult::Deserialize(&r);
+  auto back = wire::Read<GroupingSetsResult>(&r);
   ASSERT_TRUE(back.ok());
   EXPECT_FALSE(back->HasSet(0));
   EXPECT_TRUE(back->HasSet(1));

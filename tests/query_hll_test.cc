@@ -178,9 +178,9 @@ TEST(CountDistinctTest, SerializationCarriesSketch) {
     s.AddDistinct(data::Value(static_cast<int64_t>(i)));
   }
   Writer w;
-  s.Serialize(&w);
+  wire::Put(&w, s);
   Reader r(w.data());
-  auto back = AggregateState::Deserialize(&r);
+  auto back = wire::Read<AggregateState>(&r);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->Finalize(AggregateFunction::kCountDistinct),
             s.Finalize(AggregateFunction::kCountDistinct));

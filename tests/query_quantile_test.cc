@@ -85,9 +85,9 @@ TEST(QuantileSketchTest, SerializationRoundTrip) {
   Rng rng(11);
   for (int i = 0; i < 5000; ++i) s.Add(rng.NextGaussian());
   Writer w;
-  s.Serialize(&w);
+  wire::Put(&w, s);
   Reader r(w.data());
-  auto back = QuantileSketch::Deserialize(&r);
+  auto back = wire::Read<QuantileSketch>(&r);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, s);
   EXPECT_DOUBLE_EQ(*back->Quantile(0.5), *s.Quantile(0.5));
@@ -99,7 +99,7 @@ TEST(QuantileSketchTest, DeserializeRejectsCorruption) {
   w.PutVarint(10);   // count
   w.PutVarint(100);  // absurd level count
   Reader r(w.data());
-  EXPECT_FALSE(QuantileSketch::Deserialize(&r).ok());
+  EXPECT_FALSE(wire::Read<QuantileSketch>(&r).ok());
 }
 
 TEST(QuantileSketchTest, QuantileClamped) {
@@ -122,9 +122,9 @@ TEST(QuantileAggregateTest, OutputNameEncodesRank) {
 TEST(QuantileAggregateTest, SpecSerializationCarriesParameter) {
   AggregateSpec spec{AggregateFunction::kQuantile, "age", 0.75};
   Writer w;
-  spec.Serialize(&w);
+  wire::Put(&w, spec);
   Reader r(w.data());
-  auto back = AggregateSpec::Deserialize(&r);
+  auto back = wire::Read<AggregateSpec>(&r);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, spec);
 }
@@ -186,9 +186,9 @@ TEST(QuantileAggregateTest, StateSerializationCarriesSketch) {
         s.AddQuantile(data::Value(static_cast<double>(i))).ok());
   }
   Writer w;
-  s.Serialize(&w);
+  wire::Put(&w, s);
   Reader r(w.data());
-  auto back = AggregateState::Deserialize(&r);
+  auto back = wire::Read<AggregateState>(&r);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(*back, s);
 }
