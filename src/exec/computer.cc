@@ -319,10 +319,15 @@ void ComputerActor::EmitKmFinal() {
     int c = (*assignment)[i];
     for (size_t a = 0; a < aggs.size(); ++a) {
       const bool count_star = agg_cols[a] < 0;
-      (void)stats.per_cluster[c][a].Accumulate(
+      Status s = stats.per_cluster[c][a].Accumulate(
           aggs[a].fn,
           count_star ? data::Value::Null() : slice_.ValueAt(i, agg_cols[a]),
           count_star);
+      if (!s.ok()) {
+        EDGELET_LOG(kError) << "computer " << dev()->id()
+                            << " cluster aggregate failed: " << s.ToString();
+        return;
+      }
     }
   }
 

@@ -12,6 +12,14 @@ void AppendUnique(std::vector<std::string>* out, const std::string& s) {
   }
 }
 
+// True when `column` is in the schema and holds INT64 or DOUBLE.
+bool IsNumeric(const data::Schema& schema, const std::string& column) {
+  auto idx = schema.IndexOf(column);
+  if (!idx.ok()) return false;
+  const data::ValueType t = schema.column(*idx).type;
+  return t == data::ValueType::kInt64 || t == data::ValueType::kDouble;
+}
+
 }  // namespace
 
 std::string_view QueryKindName(QueryKind kind) {
@@ -52,6 +60,18 @@ Status Query::Validate(const data::Schema& schema) const {
       return Status::InvalidArgument("query column not in schema: " + c);
     }
   }
+  // A quantile sketch takes numbers only; over any other column every
+  // computer would fail its partition at run time.
+  const auto& aggregates = kind == QueryKind::kGroupingSets
+                               ? grouping_sets.aggregates
+                               : kmeans.cluster_aggregates;
+  for (const auto& a : aggregates) {
+    if (a.fn != AggregateFunction::kQuantile) continue;
+    if (!IsNumeric(schema, a.column)) {
+      return Status::InvalidArgument("QUANTILE column not numeric: " +
+                                     a.column);
+    }
+  }
   if (kind == QueryKind::kGroupingSets) {
     if (grouping_sets.sets.empty()) {
       return Status::InvalidArgument("GROUPING SETS query needs >= 1 set");
@@ -70,10 +90,7 @@ Status Query::Validate(const data::Schema& schema) const {
       return Status::InvalidArgument("K-Means local_iterations must be > 0");
     }
     for (const auto& f : kmeans.features) {
-      auto idx = schema.IndexOf(f);
-      if (!idx.ok()) return idx.status();
-      data::ValueType t = schema.column(*idx).type;
-      if (t != data::ValueType::kInt64 && t != data::ValueType::kDouble) {
+      if (!IsNumeric(schema, f)) {
         return Status::InvalidArgument("K-Means feature not numeric: " + f);
       }
     }

@@ -154,6 +154,23 @@ TEST(QueryTest, ValidateAgainstSchema) {
   EXPECT_FALSE(bad5.Validate(schema).ok());
 }
 
+TEST(QueryTest, ValidateRejectsQuantileOverNonNumericColumn) {
+  data::Schema schema = data::HealthSchema();
+  const AggregateSpec median{AggregateFunction::kQuantile, "region", 0.5};
+  Query gs = DemoGroupingSetsQuery();
+  gs.grouping_sets.aggregates.push_back(median);
+  EXPECT_FALSE(gs.Validate(schema).ok());
+  Query km = DemoKMeansQuery();
+  km.kmeans.cluster_aggregates.push_back(median);
+  EXPECT_FALSE(km.Validate(schema).ok());
+
+  // The same sketch over a numeric column is fine.
+  gs.grouping_sets.aggregates.back().column = "bmi";
+  km.kmeans.cluster_aggregates.back().column = "bmi";
+  EXPECT_TRUE(gs.Validate(schema).ok());
+  EXPECT_TRUE(km.Validate(schema).ok());
+}
+
 // --- QEP ---------------------------------------------------------------------
 
 Qep SmallPlan() {
