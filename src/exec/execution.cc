@@ -70,6 +70,8 @@ QueryExecution::QueryExecution(net::Transport* net,
                                device::Fleet* fleet, Deployment deployment,
                                ExecutionConfig config)
     : net_(net),
+      live_scope_(net->is_live() ? std::make_unique<net::ScopedTransport>(net)
+                                 : nullptr),
       network_(net->network()),
       fleet_(fleet),
       deployment_(std::move(deployment)),
@@ -138,8 +140,8 @@ Status QueryExecution::Start() {
   BuildOperators();
   if (roles_->repair_active()) BuildSpares();
   querier_ = std::make_unique<QuerierActor>(
-      net_, fleet_->by_node(deployment_.querier), deployment_.query.query_id,
-      trace_.get());
+      actor_net(), fleet_->by_node(deployment_.querier),
+      deployment_.query.query_id, trace_.get());
 
   for (const OperatorSlot& slot : slots_) {
     const CombinerActor* combiner = slot.incarnations.front().combiner.get();
@@ -203,7 +205,7 @@ std::unique_ptr<RecoveryHost> QueryExecution::MakeRecoveryHost(size_t index) {
   hc.trace = trace_.get();
   auto medium = std::make_unique<store::MemoryMedium>(
       config_.recovery.store_faults, slot.dev->id());
-  return std::make_unique<RecoveryHost>(net_, slot.dev, std::move(hc),
+  return std::make_unique<RecoveryHost>(actor_net(), slot.dev, std::move(hc),
                                         std::move(medium));
 }
 
@@ -249,7 +251,7 @@ Status QueryExecution::BuildContributors() {
                        : 0);
     }
     contributors_.push_back(std::make_unique<ContributorActor>(
-        net_, dev, &contribution_plan_, std::move(members)));
+        actor_net(), dev, &contribution_plan_, std::move(members)));
   }
   // Started only once every key resolved: a rejected Start() leaves no
   // event behind that points into this execution.
@@ -303,13 +305,15 @@ void QueryExecution::StartIncarnation(size_t index, const Bytes& state) {
   CheckpointFn checkpoint;
   if (slot.host != nullptr) checkpoint = slot.host->MakeCheckpointFn();
   slot.incarnations.push_back(
-      roles_->Build(net_, slot.dev, slot.spec, std::move(checkpoint), state));
+      roles_->Build(actor_net(), slot.dev, slot.spec, std::move(checkpoint),
+                    state));
   slot.incarnations.back().Start();
 }
 
 void QueryExecution::BuildSpares() {
   for (net::NodeId node : deployment_.spare_pool) {
-    spares_.push_back(std::make_unique<SpareActor>(net_, fleet_->by_node(node),
+    spares_.push_back(std::make_unique<SpareActor>(actor_net(),
+                                                   fleet_->by_node(node),
                                                    roles_.get()));
   }
 }

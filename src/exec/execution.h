@@ -191,8 +191,11 @@ class QueryExecution {
   Status Finish();
   // Conservative upper bound on the last event this execution can have
   // scheduled (resend tails, one trailing period of each periodic loop).
-  // Running the sim to this point makes retiring the execution safe: no
-  // callback of its actors remains pending.
+  // Running a DES engine to this point leaves no callback of its actors
+  // pending. The live engine runs each event late and its callbacks read
+  // the late clock, so there the tails can drift past the bound; its
+  // actors schedule through a ScopedTransport instead, and whatever is
+  // left pending when the execution is destroyed stays silent.
   SimTime quiescent_at() const;
 
   const ExecutionReport& report() const { return report_; }
@@ -233,8 +236,15 @@ class QueryExecution {
   // installed — or the device already hosts one (one store per device per
   // query).
   std::unique_ptr<RecoveryHost> MakeRecoveryHost(size_t index);
+  // The transport every actor, host and spare of this execution runs on.
+  net::Transport* actor_net() const {
+    return live_scope_ != nullptr ? live_scope_.get() : net_;
+  }
 
   net::Transport* net_;
+  // Set on a live transport only (see quiescent_at()). Declared before
+  // the actors, so it outlives them.
+  std::unique_ptr<net::ScopedTransport> live_scope_;
   net::Network* network_;  // = net_->network(), cached
   device::Fleet* fleet_;
   Deployment deployment_;

@@ -2,6 +2,7 @@
 #define EDGELET_NET_TRANSPORT_H_
 
 #include <functional>
+#include <memory>
 
 #include "net/clock.h"
 #include "net/network.h"
@@ -106,6 +107,38 @@ class SimTransport : public Transport {
  private:
   SimEngine* engine_;
   Network* network_;
+};
+
+// A view of another transport for objects destroyed while timers they
+// scheduled may still be pending: once the view is gone, those callbacks
+// return without running. Destroy it only outside RunUntil, when no
+// callback is running. Everything else passes straight through.
+class ScopedTransport : public Transport {
+ public:
+  explicit ScopedTransport(Transport* base)
+      : base_(base), alive_(std::make_shared<bool>(true)) {}
+  ~ScopedTransport() override { *alive_ = false; }
+
+  SimTime now() const override { return base_->now(); }
+  uint64_t ScheduleAt(NodeId owner, SimTime t,
+                      std::function<void()> fn) override {
+    return base_->ScheduleAt(owner, t,
+                             [alive = alive_, fn = std::move(fn)]() {
+                               if (*alive) fn();
+                             });
+  }
+  bool CancelTimer(uint64_t timer_id) override {
+    return base_->CancelTimer(timer_id);
+  }
+  void Send(Message msg) override { base_->Send(std::move(msg)); }
+  size_t RunUntil(SimTime until) override { return base_->RunUntil(until); }
+  Network* network() override { return base_->network(); }
+  SimEngine* engine() override { return base_->engine(); }
+  bool is_live() const override { return base_->is_live(); }
+
+ private:
+  Transport* base_;
+  std::shared_ptr<bool> alive_;
 };
 
 }  // namespace edgelet::net

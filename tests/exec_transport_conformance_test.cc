@@ -18,10 +18,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "chaos/chaos.h"
 #include "core/framework.h"
+#include "exec/execution.h"
 #include "exec/protocol.h"
 
 namespace edgelet::core {
@@ -193,6 +195,34 @@ TEST(TransportConformance, LiveBroadChaosNeverSuccessfulButInvalid) {
                               << "seed " << seed;
     }
   }
+}
+
+// The live engine runs events late, so an execution's timers can outlast
+// its quiescence bound and still be pending when the execution is
+// destroyed (the multi-tenant service retires executions mid-drain).
+// They must then stay silent instead of firing into freed actors
+// (live_asan_smoke runs this).
+TEST(TransportConformance, LiveTimersOfADestroyedExecutionStaySilent) {
+  EdgeletFramework fw(ConformanceFleet(TransportBackend::kLive));
+  ASSERT_TRUE(fw.Init().ok());
+  PrivacyConfig privacy;
+  privacy.max_tuples_per_edgelet = kCrowd;
+  auto d = fw.Plan(ConformanceQuery(), privacy, {0.0, 0.5},
+                   Strategy::kOvercollection);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  exec::ExecutionConfig ec;
+  ec.collection_window = 60 * kSecond;
+  ec.deadline = 8 * kMinute;
+  ec.inject_failures = false;
+
+  net::Transport* net = fw.transport();
+  auto execution =
+      std::make_unique<exec::QueryExecution>(net, fw.fleet(), *d, ec);
+  ASSERT_TRUE(execution->Start().ok());
+  net->RunUntil(net->now() + 30 * kSecond);  // mid-collection
+  ASSERT_GT(net->engine()->pending_events(), 0u);
+  execution.reset();
+  net->RunUntil(net->now() + 10 * kMinute);
 }
 
 }  // namespace
