@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "net/network.h"
-#include "net/transport.h"
 
 namespace edgelet::chaos {
 
@@ -103,12 +102,10 @@ class ChaosInjector : public net::FaultInjector {
   // all chaos streams, and installs this injector on the network. Call
   // after every node is registered and only between runs. Messages from
   // nodes registered later pass through unfaulted.
-  void AttachTo(net::Network* network);
-  // Transport convenience: attaches to the transport's network. Works for
-  // both backends — under the live transport the OnSend hook runs in the
+  // Works on every engine: under the live one the OnSend hook runs in the
   // sender's worker thread, which the per-sender state layout already
   // supports (shard == thread there).
-  void AttachTo(net::Transport* transport) { AttachTo(transport->network()); }
+  void AttachTo(net::Network* network);
   // Uninstalls from the network (if still installed).
   void Detach();
 

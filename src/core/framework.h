@@ -19,10 +19,10 @@ class QueryScheduler;
 
 namespace edgelet::core {
 
-// Which net::Transport backend the framework runs the protocol on.
+// Which engine the framework runs the protocol on.
 //   kSim  — discrete-event simulation (serial or parsim). Deterministic;
 //           every replay fingerprint holds.
-//   kLive — net::live::ThreadTransport: real worker threads and a scaled
+//   kLive — net::live::LiveEngine: real worker threads and a scaled
 //           steady_clock. Timing and interleaving are real; only
 //           valid-result equivalence is promised (DESIGN.md §5j).
 enum class TransportBackend : uint8_t { kSim = 0, kLive = 1 };
@@ -77,16 +77,12 @@ class EdgeletFramework {
   // before Plan/Execute.
   Status Init();
 
-  // The transport everything runs on (valid after Init). sim()/network()
-  // are compatibility accessors routed through it — they work identically
-  // on both backends.
-  net::Transport* transport() { return transport_.get(); }
-  net::SimEngine* sim() {
-    return transport_ == nullptr ? nullptr : transport_->engine();
-  }
-  net::Network* network() {
-    return transport_ == nullptr ? nullptr : transport_->network();
-  }
+  // The backend (valid after Init; null engine/network before): the
+  // engine, the network over it and the transport handle over the two.
+  // Every backend is built and reached the same way.
+  net::Transport* transport() { return &transport_; }
+  net::SimEngine* sim() { return engine_.get(); }
+  net::Network* network() { return network_.get(); }
   device::Fleet* fleet() { return fleet_.get(); }
   // The population, as a view over the one shared columnar store. Every
   // device's local view and the validity-oracle rerun alias the same
@@ -183,12 +179,13 @@ class EdgeletFramework {
   void DrainAndRetire(bool keep_last);
 
   FrameworkConfig config_;
-  // Under kLive the transport owns its engine + network and sim_/network_
-  // stay null; under kSim it is a thin SimTransport over the two below.
-  // Declared first so it outlives every subsystem registered on it.
-  std::unique_ptr<net::Transport> transport_;
-  std::unique_ptr<net::SimEngine> sim_;
+  // Teardown rule: the engine and the network outlive every subsystem
+  // registered on them (declared first), and the engine goes before the
+  // network (declared after it), so live workers are joined before the
+  // network they deliver into is destroyed.
   std::unique_ptr<net::Network> network_;
+  std::unique_ptr<net::SimEngine> engine_;
+  net::Transport transport_;
   std::unique_ptr<tee::TrustAuthority> authority_;
   std::unique_ptr<device::Fleet> fleet_;
   std::unique_ptr<device::Device> querier_device_;

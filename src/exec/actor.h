@@ -105,11 +105,11 @@ class ActorBase {
   ActorBase& operator=(const ActorBase&) = delete;
 
   device::Device* dev() const { return dev_; }
-  // The transport this actor's timers and re-sends run on. Actors compile
-  // against the interface only — the same code runs on the DES and the
-  // live (threaded) backends.
+  // The transport this actor's timers and re-sends run on. Actors never
+  // name an engine — the same code runs on the DES and the live
+  // (threaded) engines.
   net::Transport* net() const { return net_; }
-  // Injected clock (net::Clock via the transport).
+  // The clock of the calling context, read through the transport.
   SimTime now() const { return net_->now(); }
   uint64_t query_tag() const { return query_tag_; }
 

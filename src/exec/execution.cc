@@ -69,15 +69,17 @@ uint64_t ReportFingerprint(const ExecutionReport& report) {
 QueryExecution::QueryExecution(net::Transport* net,
                                device::Fleet* fleet, Deployment deployment,
                                ExecutionConfig config)
-    : net_(net),
-      live_scope_(net->is_live() ? std::make_unique<net::ScopedTransport>(net)
-                                 : nullptr),
+    : live_scope_(net->engine()->is_live() ? std::make_shared<bool>(true)
+                                           : nullptr),
+      net_(net->engine(), net->network(), live_scope_),
       network_(net->network()),
       fleet_(fleet),
       deployment_(std::move(deployment)),
       config_(config) {}
 
-QueryExecution::~QueryExecution() = default;
+QueryExecution::~QueryExecution() {
+  if (live_scope_ != nullptr) *live_scope_ = false;
+}
 
 Status QueryExecution::CheckDeployment() const {
   if (deployment_.query.query_id == 0) {
@@ -125,8 +127,8 @@ Status QueryExecution::Start() {
   // that point into this execution, so a rejected Start() must build none.
   EDGELET_RETURN_NOT_OK(CheckDeployment());
   started_ = true;
-  base_ = net_->now();
-  if (config_.enable_trace) trace_ = std::make_unique<ExecutionTrace>(net_->engine());
+  base_ = net_.now();
+  if (config_.enable_trace) trace_ = std::make_unique<ExecutionTrace>(net_.engine());
   // Taken before any actor exists: replica leaders emit their first ping
   // during construction, and those sends must land inside the delta.
   query_stats_before_ = network_->query_stats(deployment_.query.query_id);
@@ -134,13 +136,13 @@ Status QueryExecution::Start() {
                                        trace_.get());
   // Every contributor schedules a contribution plus churn/resend events;
   // pre-size the event queue so the collection burst doesn't regrow it.
-  net_->engine()->ReserveEvents(fleet_->contributors().size() * 2 + 256);
+  net_.engine()->ReserveEvents(fleet_->contributors().size() * 2 + 256);
 
   EDGELET_RETURN_NOT_OK(BuildContributors());
   BuildOperators();
   if (roles_->repair_active()) BuildSpares();
   querier_ = std::make_unique<QuerierActor>(
-      actor_net(), fleet_->by_node(deployment_.querier),
+      &net_, fleet_->by_node(deployment_.querier),
       deployment_.query.query_id, trace_.get());
 
   for (const OperatorSlot& slot : slots_) {
@@ -205,7 +207,7 @@ std::unique_ptr<RecoveryHost> QueryExecution::MakeRecoveryHost(size_t index) {
   hc.trace = trace_.get();
   auto medium = std::make_unique<store::MemoryMedium>(
       config_.recovery.store_faults, slot.dev->id());
-  return std::make_unique<RecoveryHost>(actor_net(), slot.dev, std::move(hc),
+  return std::make_unique<RecoveryHost>(&net_, slot.dev, std::move(hc),
                                         std::move(medium));
 }
 
@@ -251,7 +253,7 @@ Status QueryExecution::BuildContributors() {
                        : 0);
     }
     contributors_.push_back(std::make_unique<ContributorActor>(
-        actor_net(), dev, &contribution_plan_, std::move(members)));
+        &net_, dev, &contribution_plan_, std::move(members)));
   }
   // Started only once every key resolved: a rejected Start() leaves no
   // event behind that points into this execution.
@@ -305,14 +307,14 @@ void QueryExecution::StartIncarnation(size_t index, const Bytes& state) {
   CheckpointFn checkpoint;
   if (slot.host != nullptr) checkpoint = slot.host->MakeCheckpointFn();
   slot.incarnations.push_back(
-      roles_->Build(actor_net(), slot.dev, slot.spec, std::move(checkpoint),
+      roles_->Build(&net_, slot.dev, slot.spec, std::move(checkpoint),
                     state));
   slot.incarnations.back().Start();
 }
 
 void QueryExecution::BuildSpares() {
   for (net::NodeId node : deployment_.spare_pool) {
-    spares_.push_back(std::make_unique<SpareActor>(actor_net(),
+    spares_.push_back(std::make_unique<SpareActor>(&net_,
                                                    fleet_->by_node(node),
                                                    roles_.get()));
   }
@@ -368,7 +370,7 @@ bool QueryExecution::abort_requested() const {
 }
 
 SimTime QueryExecution::quiescent_at() const {
-  if (!started_) return net_->now();
+  if (!started_) return net_.now();
   // Latest protocol activity: emissions end by the deadline (the K-Means
   // cadence can outlast it), resend tails ride on the last emission with
   // exponential backoff, and each periodic loop (pings, beacons, detector
@@ -407,7 +409,7 @@ Status QueryExecution::RunToCompletion() {
   const SimTime end = end_time();
   const SimDuration step = poll_step();
   if (step == 0) {
-    net_->RunUntil(end);
+    net_.RunUntil(end);
   } else {
     // Fail-safe early termination: run in lease-period chunks so an abort
     // decision stops the execution at (just past) decision time instead of
@@ -417,7 +419,7 @@ Status QueryExecution::RunToCompletion() {
     SimTime t = base_;
     while (t < end) {
       t = std::min<SimTime>(end, t + step);
-      net_->RunUntil(t);
+      net_.RunUntil(t);
       if (abort_requested()) break;
     }
   }

@@ -194,7 +194,7 @@ class QueryExecution {
   // Running a DES engine to this point leaves no callback of its actors
   // pending. The live engine runs each event late and its callbacks read
   // the late clock, so there the tails can drift past the bound; its
-  // actors schedule through a ScopedTransport instead, and whatever is
+  // actors schedule through a scoped transport instead, and whatever is
   // left pending when the execution is destroyed stays silent.
   SimTime quiescent_at() const;
 
@@ -236,16 +236,14 @@ class QueryExecution {
   // installed — or the device already hosts one (one store per device per
   // query).
   std::unique_ptr<RecoveryHost> MakeRecoveryHost(size_t index);
-  // The transport every actor, host and spare of this execution runs on.
-  net::Transport* actor_net() const {
-    return live_scope_ != nullptr ? live_scope_.get() : net_;
-  }
-
-  net::Transport* net_;
-  // Set on a live transport only (see quiescent_at()). Declared before
-  // the actors, so it outlives them.
-  std::unique_ptr<net::ScopedTransport> live_scope_;
-  net::Network* network_;  // = net_->network(), cached
+  // Live engines only (see quiescent_at()): the scope token of net_,
+  // cleared by the destructor.
+  std::shared_ptr<bool> live_scope_;
+  // The transport this execution and every actor, host and spare of it
+  // run on: the caller's, scoped by live_scope_ when that is set. Declared
+  // before the actors, so it outlives them.
+  net::Transport net_;
+  net::Network* network_;  // = net_.network(), cached
   device::Fleet* fleet_;
   Deployment deployment_;
   ExecutionConfig config_;

@@ -17,6 +17,16 @@ uint64_t RepairOpId(RecruitRole role, uint32_t partition, uint32_t vgroup,
          static_cast<uint64_t>(vgroup & 0xFFFF);
 }
 
+bool RepairBudgetFits(SimTime now, SimTime collection_end, SimTime deadline,
+                      SimDuration compute_margin, SimDuration emission_margin,
+                      SimDuration combiner_margin) {
+  // A late detection collects promptly via re-solicitation: remainder 0.
+  const SimDuration remainder = collection_end > now ? collection_end - now : 0;
+  const SimTime ready_by =
+      SatAdd(SatAdd(SatAdd(now, remainder), compute_margin), emission_margin);
+  return SatAdd(ready_by, combiner_margin) <= deadline;
+}
+
 // --- RepairController --------------------------------------------------------
 
 RepairController::RepairController(net::Transport* net, device::Device* dev,
@@ -25,7 +35,7 @@ RepairController::RepairController(net::Transport* net, device::Device* dev,
       dev_(dev),
       config_(std::move(config)),
       birth_epoch_(dev->boot_epoch()),
-      detector_(config_.detector, net),  // transport is the injected clock
+      detector_(config_.detector),
       done_([]() { return false; }) {
   chains_.resize(config_.total_partitions);
   for (uint32_t p = 0; p < config_.total_partitions; ++p) {
@@ -159,17 +169,9 @@ bool RepairController::RepairFeasible(SimTime now, int broken_chains) const {
   // chain.
   const size_t spares_needed = 2 * static_cast<size_t>(broken_chains);
   if (spare_next_ + spares_needed > config_.spare_pool.size()) return false;
-  // Repair-time estimate: the recruited builder re-collects for whatever
-  // remains of the collection window (a late detection collects promptly
-  // via re-solicitation: remainder 0), the chain computes and emits within
-  // the margins, and the combiner still needs its own margin before the
-  // deadline to merge and deliver.
-  const SimDuration remainder =
-      config_.collection_end > now ? config_.collection_end - now : 0;
-  const SimTime ready_by =
-      now + remainder + config_.compute_margin + config_.emission_margin;
-  if (config_.deadline == kSimTimeNever) return true;
-  return ready_by + config_.combiner_margin <= config_.deadline;
+  return RepairBudgetFits(now, config_.collection_end, config_.deadline,
+                          config_.compute_margin, config_.emission_margin,
+                          config_.combiner_margin);
 }
 
 void RepairController::RepairPartition(uint32_t partition, SimTime now) {

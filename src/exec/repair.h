@@ -26,10 +26,23 @@ struct RepairConfig {
   bool enabled = false;
   // Budget terms of the repair-vs-fail-safe decision: a repair is feasible
   // iff now + collection-window remainder + compute_margin +
-  // emission_margin still fits before (deadline - combiner margin).
+  // emission_margin still fits before (deadline - combiner margin); see
+  // RepairBudgetFits.
   SimDuration compute_margin = 15 * kSecond;
   SimDuration emission_margin = 15 * kSecond;
 };
+
+// The repair-budget inequality, the one statement of it: a repair
+// started at `now` re-collects for whatever remains of the collection
+// window (until `collection_end`), computes and emits within the two
+// repair margins, and must still leave the combiner its margin before
+// `deadline`. Saturating: a huge user-set margin reads as infeasible
+// instead of wrapping past the deadline. The repair controller evaluates
+// it at every repair decision; the scheduler's admission screen at
+// now = 0 with relative times.
+bool RepairBudgetFits(SimTime now, SimTime collection_end, SimTime deadline,
+                      SimDuration compute_margin, SimDuration emission_margin,
+                      SimDuration combiner_margin);
 
 // Extra Recruit re-sends (backoff schedule from kResendInterval; spares
 // ack-dedup).

@@ -16,14 +16,14 @@
 namespace edgelet::net::live {
 
 // A wall-clock SimEngine: the timer/delivery substrate of the live
-// (thread-backed) transport. Instead of replaying a deterministic event
-// order, it runs W worker threads, each owning the per-node MPSC timer
-// mailbox of the nodes hashed onto it (node % W — the same ShardOf
-// contract as parsim), and fires a timer once the *scaled wall clock*
-// passes its simulated due time. net::Network runs unchanged on top: its
-// shard-ownership discipline (every node-state mutation inside that
-// node's own callbacks, per-shard stats/pools, per-node RNG streams) is
-// exactly a thread-safety argument here, with shard == worker thread.
+// backend. Instead of replaying a deterministic event order, it runs W
+// worker threads, each owning the per-node MPSC timer mailbox of the
+// nodes hashed onto it (node % W — the same ShardOf contract as parsim),
+// and fires a timer once the *scaled wall clock* passes its simulated due
+// time. net::Network runs unchanged on top: its shard-ownership
+// discipline (every node-state mutation inside that node's own callbacks,
+// per-shard stats/pools, per-node RNG streams) is exactly a thread-safety
+// argument here, with shard == worker thread.
 //
 // Phase separation: workers only execute callbacks inside RunUntil(t).
 // Between runs every worker is parked, so the orchestration thread can
@@ -55,6 +55,7 @@ class LiveEngine : public SimEngine {
   LiveEngine& operator=(const LiveEngine&) = delete;
 
   SimTime now() const override;
+  bool is_live() const override { return true; }
   uint64_t ScheduleAt(NodeId owner, SimTime t,
                       std::function<void()> fn) override;
   bool Cancel(uint64_t event_id) override;

@@ -1,21 +1,11 @@
 #include "resilience/failure_detector.h"
 
-#include <cassert>
 #include <cmath>
 
 namespace edgelet::resilience {
 
 FailureDetector::FailureDetector(FailureDetectorConfig config)
     : config_(config) {}
-
-FailureDetector::FailureDetector(FailureDetectorConfig config,
-                                 const net::Clock* clock)
-    : config_(config), clock_(clock) {}
-
-SimTime FailureDetector::ClockNow() const {
-  assert(clock_ != nullptr && "no-argument overloads need an injected clock");
-  return clock_ == nullptr ? 0 : clock_->now();
-}
 
 SimDuration FailureDetector::LeaseFor(const OpState& op) const {
   double mult = std::pow(kSuspicionBackoff, op.backoff_steps);

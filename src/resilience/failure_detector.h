@@ -7,7 +7,6 @@
 
 #include "common/rng.h"
 #include "common/sim_time.h"
-#include "net/clock.h"
 
 namespace edgelet::resilience {
 
@@ -45,9 +44,10 @@ struct FailureDetectorConfig {
 };
 
 // Deterministic lease-based failure detector. Pure state machine: the
-// owner (the repair controller, running in its own simulation-event
-// context) feeds it Register/Heartbeat/Scan calls in simulated time; it
-// never touches the network or the engine itself.
+// owner (the repair controller, running in its own event context) feeds
+// it Register/Heartbeat/Scan calls with `now` read from its transport; it
+// never reads a clock, schedules or sends itself, so the same detector
+// runs on every engine, the live one included.
 //
 // An operator is *suspected* once `now` passes its suspicion deadline:
 //   last_heartbeat + kLeasePeriod * kMissThreshold * backoff^steps + jitter.
@@ -56,11 +56,6 @@ struct FailureDetectorConfig {
 class FailureDetector {
  public:
   explicit FailureDetector(FailureDetectorConfig config);
-  // With an injected clock (any net::Clock — a Transport is one), the
-  // no-argument overloads below read `now` from it. The detector still
-  // never schedules or sends; the clock is its only tie to a backend, so
-  // the same detector runs under the DES and the live transports.
-  FailureDetector(FailureDetectorConfig config, const net::Clock* clock);
 
   // Starts monitoring an operator; its lease opens at `now`. Re-registering
   // an existing op id resets its lease and suspicion state.
@@ -90,11 +85,6 @@ class FailureDetector {
   // order (std::map iteration — deterministic). Each suspicion is reported
   // exactly once until cleared by a heartbeat.
   std::vector<uint64_t> Scan(SimTime now);
-
-  // Injected-clock conveniences; require a clock at construction.
-  void Register(uint64_t op_id) { Register(op_id, ClockNow()); }
-  void Heartbeat(uint64_t op_id) { Heartbeat(op_id, ClockNow()); }
-  std::vector<uint64_t> Scan() { return Scan(ClockNow()); }
 
   bool IsRegistered(uint64_t op_id) const;
   bool IsSuspected(uint64_t op_id) const;
@@ -128,10 +118,8 @@ class FailureDetector {
 
   SimDuration LeaseFor(const OpState& op) const;
   void DrawJitter(OpState* op);
-  SimTime ClockNow() const;
 
   FailureDetectorConfig config_;
-  const net::Clock* clock_ = nullptr;  // optional; see ctor
   std::map<uint64_t, OpState> ops_;
   uint64_t detections_ = 0;
   uint64_t false_suspicions_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/framework.h"
+#include "exec/repair.h"
 
 namespace edgelet::sched {
 
@@ -67,13 +68,14 @@ Status QueryScheduler::FeasibilityScreen(
     return Status::FailedPrecondition(
         "completion horizon overflows the simulated clock");
   }
-  // Repair-budget screen: the same inequality RepairController evaluates
-  // for a repair at t = 0 — if no repair could ever be feasible, admitting
-  // with repair on would only ever fail safe.
+  // Repair-budget screen: the controller's inequality for a repair at
+  // t = 0 — if no repair could ever be feasible, admitting with repair on
+  // would only ever fail safe.
   if (ec.repair.enabled &&
-      SatAdd(SatAdd(ec.collection_window, ec.repair.compute_margin),
-             ec.repair.emission_margin) >
-          ec.deadline - ec.combiner_margin) {
+      !exec::RepairBudgetFits(0, ec.collection_window, ec.deadline,
+                              ec.repair.compute_margin,
+                              ec.repair.emission_margin,
+                              ec.combiner_margin)) {
     return Status::FailedPrecondition(
         "repair budget infeasible at admission (t = 0)");
   }

@@ -82,7 +82,7 @@ class ActorTest : public ::testing::Test {
 
   net::Simulator sim_;
   net::Network network_;
-  net::SimTransport transport_{&sim_, &network_};
+  net::Transport transport_{&sim_, &network_};
   tee::TrustAuthority authority_;
   std::vector<std::unique_ptr<device::Device>> devices_;
 };

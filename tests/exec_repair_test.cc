@@ -252,6 +252,26 @@ TEST(RepairTest, InfeasibleTimeBudgetFailsSafeStrictlyBeforeDeadline) {
   EXPECT_EQ(audit->verdict, TrialVerdict::kFailedSafe);
 }
 
+// A margin near the top of the clock must read as an infeasible budget,
+// not wrap the repair's ready-by time past zero into a "feasible" repair.
+// The one-shot Execute() path has no admission screen to catch it.
+TEST(RepairTest, HugeMarginSaturatesInsteadOfWrapping) {
+  EdgeletFramework fw(SmallFleet(/*seed=*/7));
+  ASSERT_TRUE(fw.Init().ok());
+  auto d = fw.Plan(MiniQuery(), {}, {0.1, 0.99}, Strategy::kOvercollection);
+  ASSERT_TRUE(d.ok());
+  KillAllAt(&fw, ChainDevices(*d), 4 * kSecond);
+  exec::ExecutionConfig ec = RepairExec(/*repair_on=*/true);
+  ec.repair.compute_margin = kSimTimeNever - kMinute;
+  auto report = fw.Execute(*d, ec);
+  ASSERT_TRUE(report.ok());
+  EXPECT_FALSE(report->success);
+  EXPECT_GE(report->failures_detected, 1u);
+  EXPECT_EQ(report->repairs_attempted, 0u);
+  ASSERT_NE(report->early_abort_time, kSimTimeNever);
+  EXPECT_LT(report->early_abort_time, ec.deadline);
+}
+
 TEST(RepairTest, ExhaustedSparePoolFailsSafeEarly) {
   EdgeletFramework fw(SmallFleet(/*seed=*/7));
   ASSERT_TRUE(fw.Init().ok());

@@ -51,7 +51,7 @@ class ReplicaTest : public ::testing::Test {
 
   net::Simulator sim_;
   net::Network network_;
-  net::SimTransport transport_;
+  net::Transport transport_;
   tee::TrustAuthority authority_;
   std::vector<std::unique_ptr<device::Device>> devices_;
   std::vector<std::unique_ptr<ReplicaRole>> roles_;

@@ -9,7 +9,8 @@
 #include <vector>
 
 #include "net/live/live_engine.h"
-#include "net/live/thread_transport.h"
+#include "net/network.h"
+#include "net/transport.h"
 
 namespace edgelet::net::live {
 namespace {
@@ -100,9 +101,13 @@ TEST(LiveEngineTest, NowFreezesBetweenRuns) {
   EXPECT_EQ(engine.now(), frozen) << "clock must not advance between runs";
 }
 
-TEST(ThreadTransportTest, SchedulesSendsAndReportsLive) {
-  ThreadTransport transport(1, FastOptions(), NetworkConfig{});
-  EXPECT_TRUE(transport.is_live());
+// The live backend's wiring, as the framework builds it: a Network over
+// the engine and a Transport handle over the two.
+TEST(LiveTransportTest, SchedulesSendsAndReportsLive) {
+  LiveEngine engine(1, FastOptions());
+  Network network(&engine, NetworkConfig{});
+  Transport transport(&engine, &network);
+  EXPECT_TRUE(transport.engine()->is_live());
   EXPECT_NE(transport.network(), nullptr);
   EXPECT_EQ(transport.engine()->num_shards(), 2u);
   std::atomic<int> fired{0};

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
+
+#include "net/network.h"
+#include "net/transport.h"
 
 namespace edgelet::net {
 namespace {
@@ -223,6 +227,41 @@ TEST(SimulatorTest, ManyEventsStressOrdering) {
   sim.Run();
   EXPECT_TRUE(monotone);
   EXPECT_EQ(sim.events_executed(), 10000u);
+}
+
+// The execution-scope guard of net::Transport: once the token reads false,
+// a scoped handle's pending callbacks return without running, while an
+// unscoped handle's still run. Both return engine event ids, so the
+// engine's Cancel works on either.
+TEST(TransportTest, ScopeTokenSilencesOnlyScopedCallbacks) {
+  Simulator sim;
+  Network network(&sim, NetworkConfig{});
+  auto scope = std::make_shared<bool>(true);
+  Transport scoped(&sim, &network, scope);
+  Transport plain(&sim, &network);
+  EXPECT_FALSE(scoped.engine()->is_live());
+  EXPECT_EQ(scoped.network(), &network);
+  std::vector<int> fired;
+  scoped.ScheduleAt(1, 10, [&] { fired.push_back(1); });
+  plain.ScheduleAt(1, 10, [&] { fired.push_back(2); });
+  sim.RunUntil(10);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2})) << "a live scope runs";
+
+  scoped.ScheduleAfter(1, 10, [&] { fired.push_back(3); });
+  plain.ScheduleAfter(1, 10, [&] { fired.push_back(4); });
+  const uint64_t scoped_victim =
+      scoped.ScheduleAt(1, 30, [&] { fired.push_back(5); });
+  const uint64_t plain_victim =
+      plain.ScheduleAt(1, 30, [&] { fired.push_back(6); });
+  EXPECT_TRUE(scoped.engine()->Cancel(scoped_victim));
+  EXPECT_TRUE(plain.engine()->Cancel(plain_victim));
+  EXPECT_EQ(sim.pending_events(), 2u);
+  *scope = false;  // the scope's owner is gone
+  sim.Run();
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 4}));
+  EXPECT_EQ(sim.now(), 20u);
+  // The silenced event still executes, as a no-op.
+  EXPECT_EQ(sim.events_executed(), 4u);
 }
 
 }  // namespace
