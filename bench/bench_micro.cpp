@@ -144,6 +144,7 @@ void BM_EncodeContribution(benchmark::State& state) {
     state.SkipWithError("resolve failed");
     return;
   }
+  Writer w;
   size_t row = 0;
   for (auto _ : state) {
     if (state.range(0) == 0) {
@@ -154,7 +155,7 @@ void BM_EncodeContribution(benchmark::State& state) {
       benchmark::DoNotOptimize(msg.Encode());
     } else {
       benchmark::DoNotOptimize(
-          encoder->EncodeRow(0, row, *store, row).data());
+          encoder->EncodeRow(0, row, *store, row, &w).data());
     }
     benchmark::ClobberMemory();
     row = (row + 1) % store->num_rows();

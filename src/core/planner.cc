@@ -210,21 +210,21 @@ Result<exec::Deployment> Planner::Plan(const Input& input) const {
     }
   }
 
-  // Contributors hold their own record (all columns); exempt from the
-  // separation audit by role.
-  std::vector<std::string> all_columns;
-  for (const auto& group : d.vgroup_columns) {
-    for (const auto& c : group) {
-      if (std::find(all_columns.begin(), all_columns.end(), c) ==
-          all_columns.end()) {
-        all_columns.push_back(c);
-      }
-    }
-  }
-  for (size_t i = 0; i < input.num_contributors; ++i) {
+  // The contributor tier: one leaf counting every contributor device, so
+  // the plan stays O(operators) whatever the crowd. Contributors hold their
+  // own record (all columns); exempt from the separation audit by role.
+  if (input.num_contributors > 0) {
     OperatorVertex v;
     v.role = OperatorRole::kDataContributor;
-    v.attributes = all_columns;
+    v.count = input.num_contributors;
+    for (const auto& group : d.vgroup_columns) {
+      for (const auto& c : group) {
+        if (std::find(v.attributes.begin(), v.attributes.end(), c) ==
+            v.attributes.end()) {
+          v.attributes.push_back(c);
+        }
+      }
+    }
     qep.AddVertex(std::move(v));
   }
 

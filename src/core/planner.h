@@ -52,7 +52,7 @@ class Planner {
     // Rank-ordered candidate hosts for Data Processor operators.
     std::vector<net::NodeId> processor_pool;
     net::NodeId querier = 0;
-    // Displayed in the QEP; does not affect execution.
+    // The count of the QEP's contributor leaf; does not affect execution.
     size_t num_contributors = 0;
     uint64_t seed = 1;
   };

@@ -1,7 +1,6 @@
 #ifndef EDGELET_EXEC_CONTRIBUTOR_H_
 #define EDGELET_EXEC_CONTRIBUTOR_H_
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -10,17 +9,31 @@
 
 namespace edgelet::exec {
 
-// What every Data Contributor of one query shares. The execution builds it
-// once and owns it; contributor actors only read it (concurrently, under
-// the sharded engine), so no actor copies the query's predicates or plan.
+// What every Data Contributor of one query shares. QueryExecution::Start()
+// builds and resolves it once, before any actor exists, and nothing changes
+// it afterwards: contributor actors only read it, concurrently under the
+// sharded and live engines. For that reason it holds no encode buffer —
+// each actor encodes into a writer of its own call.
 struct ContributionPlan {
+  // The query's predicates compiled, and each vertical group's projection
+  // resolved, against one population store.
+  struct ResolvedStore {
+    const data::ColumnTable* store = nullptr;
+    size_t key_column = 0;  // the int64 contributor_id column
+    std::vector<query::CompiledPredicate> compiled;
+    // One projection per vertical group: a member splits its record so a
+    // separated attribute pair never travels together.
+    ContributionEncoder encoder;
+  };
+
+  // The entry resolved against `store`, or null.
+  const ResolvedStore* Find(const data::ColumnTable& store) const;
+
   uint64_t query_id = 0;
-  std::vector<query::Predicate> predicates;
-  // One projection per vertical group: a member splits its record so a
-  // separated attribute pair never travels together.
-  std::vector<std::vector<std::string>> vgroup_columns;
   // builders[partition][vgroup] = rank-ordered replica group.
   std::vector<std::vector<std::vector<net::NodeId>>> builders;
+  // One entry per distinct store behind the contributor devices' views.
+  std::vector<ResolvedStore> stores;
   ExecutionTrace* trace = nullptr;  // optional step-by-step recording
 };
 
@@ -52,8 +65,11 @@ class ContributorActor : public ActorBase {
     SimTime send_at = 0;
   };
 
+  // `store` is the plan's entry for the device view's store.
   ContributorActor(net::Transport* net, device::Device* dev,
-                   const ContributionPlan* plan, std::vector<Member> members);
+                   const ContributionPlan* plan,
+                   const ContributionPlan::ResolvedStore* store,
+                   std::vector<Member> members);
 
   // Orders members by (send_at, row) and schedules the chained
   // contribution loop: one pending event per device at any time.
@@ -68,34 +84,19 @@ class ContributorActor : public ActorBase {
   void HandleMessage(const net::Message& msg) override;
 
  private:
-  // Compiled predicates and the contribution encoder, resolved against the
-  // device view's store. Held only while a member is pending or a
-  // re-solicit is being answered: a crowd of idle one-member actors must
-  // not each keep an encoder.
-  struct Prepared {
-    std::vector<query::CompiledPredicate> compiled;
-    ContributionEncoder encoder;
-  };
-
   // Contributes every pending member due at the current time, then
   // schedules one event for the next.
   void ContributeDue();
   void OnResolicit(const net::Message& msg);
   uint32_t PartitionOf(const Member& member) const;
-  // The member's store row when it qualifies; prepares on first use.
-  std::optional<size_t> QualifyingRow(const Member& member);
-  // Builds prepared_ unless it is held; false (logged once) when the
-  // predicates or the projection do not resolve against the store.
-  bool Prepare();
-  // Drops prepared_ once no member is left to send.
-  void ReleaseIfIdle();
+  // The member's store row when it qualifies.
+  std::optional<size_t> QualifyingRow(const Member& member) const;
 
   const ContributionPlan* plan_;
+  const ContributionPlan::ResolvedStore* store_;
   std::vector<Member> members_;
   size_t pending_from_ = 0;  // members_[pending_from_..] have not sent yet
   size_t members_contributed_ = 0;
-  std::unique_ptr<Prepared> prepared_;
-  bool prepare_failed_ = false;
 };
 
 }  // namespace edgelet::exec

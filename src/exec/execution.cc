@@ -126,6 +126,7 @@ Status QueryExecution::Start() {
   // Every check runs before the first actor exists: actors schedule events
   // that point into this execution, so a rejected Start() must build none.
   EDGELET_RETURN_NOT_OK(CheckDeployment());
+  EDGELET_RETURN_NOT_OK(ResolveContributionPlan());
   started_ = true;
   base_ = net_.now();
   if (config_.enable_trace) trace_ = std::make_unique<ExecutionTrace>(net_.engine());
@@ -211,41 +212,57 @@ std::unique_ptr<RecoveryHost> QueryExecution::MakeRecoveryHost(size_t index) {
                                         std::move(medium));
 }
 
+Status QueryExecution::ResolveContributionPlan() {
+  const query::Query& query = deployment_.query;
+  ContributionPlan plan{.query_id = query.query_id,
+                        .builders = deployment_.sb_groups};
+  auto unresolved = [](const char* what, const Status& status) {
+    return Status::InvalidArgument(std::string("contribution ") + what +
+                                   " do not resolve: " + status.message());
+  };
+  for (device::Device* dev : fleet_->contributors()) {
+    const data::TableView& local = dev->local_view();
+    if (local.empty() || plan.Find(local.store()) != nullptr) continue;
+    // A member's key is its record's contributor_id: it feeds hash
+    // partitioning and the validity oracle's snapshot reconstruction.
+    auto key = local.schema().IndexOf(data::kContributorIdColumn);
+    if (!key.ok() ||
+        local.schema().column(*key).type != data::ValueType::kInt64) {
+      return Status::InvalidArgument(
+          "population store lacks an int64 contributor_id column");
+    }
+    auto compiled = query::CompilePredicates(local.store(), query.predicates);
+    if (!compiled.ok()) return unresolved("predicates", compiled.status());
+    auto encoder = ContributionEncoder::Resolve(
+        query.query_id, local.schema(), deployment_.vgroup_columns);
+    if (!encoder.ok()) return unresolved("projections", encoder.status());
+    plan.stores.push_back({.store = &local.store(),
+                           .key_column = *key,
+                           .compiled = std::move(*compiled),
+                           .encoder = std::move(*encoder)});
+  }
+  contribution_plan_ = std::move(plan);
+  return Status::OK();
+}
+
 Status QueryExecution::BuildContributors() {
-  const auto& query = deployment_.query;
-  contribution_plan_ = {.query_id = query.query_id,
-                        .predicates = query.predicates,
-                        .vgroup_columns = deployment_.vgroup_columns,
-                        .builders = deployment_.sb_groups,
-                        .trace = trace_.get()};
+  contribution_plan_.trace = trace_.get();
   // Contact times come from one stream in (device, row) order: fleet order
   // for one-member devices, row order inside a cohort.
   Rng rng(Mix64(config_.seed) ^ 0xC0117B);
-  const data::ColumnTable* keyed_store = nullptr;
-  size_t key_col = 0;
   for (device::Device* dev : fleet_->contributors()) {
     const data::TableView& local = dev->local_view();
     if (local.empty()) continue;
-    // A member's key is its record's contributor_id: it feeds hash
-    // partitioning and the validity oracle's snapshot reconstruction.
-    if (&local.store() != keyed_store) {
-      auto col = local.schema().IndexOf(data::kContributorIdColumn);
-      if (!col.ok() ||
-          local.schema().column(*col).type != data::ValueType::kInt64) {
-        return Status::InvalidArgument(
-            "population store lacks an int64 contributor_id column");
-      }
-      keyed_store = &local.store();
-      key_col = *col;
-    }
+    const ContributionPlan::ResolvedStore* store =
+        contribution_plan_.Find(local.store());
     std::vector<ContributorActor::Member> members(local.num_rows());
     for (size_t r = 0; r < members.size(); ++r) {
       const size_t store_row = local.StoreRow(r);
-      if (keyed_store->IsNull(store_row, key_col)) {
+      if (store->store->IsNull(store_row, store->key_column)) {
         return Status::InvalidArgument("member without a contributor_id");
       }
-      members[r].contributor_key =
-          static_cast<uint64_t>(keyed_store->Int64At(store_row, key_col));
+      members[r].contributor_key = static_cast<uint64_t>(
+          store->store->Int64At(store_row, store->key_column));
       members[r].row = static_cast<uint32_t>(r);
       members[r].send_at =
           base_ + (config_.collection_window > 0
@@ -253,7 +270,7 @@ Status QueryExecution::BuildContributors() {
                        : 0);
     }
     contributors_.push_back(std::make_unique<ContributorActor>(
-        &net_, dev, &contribution_plan_, std::move(members)));
+        &net_, dev, &contribution_plan_, store, std::move(members)));
   }
   // Started only once every key resolved: a rejected Start() leaves no
   // event behind that points into this execution.

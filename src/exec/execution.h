@@ -218,6 +218,10 @@ class QueryExecution {
   // [n+m][vgroup] arity of both chain grids, and each operator, spare and
   // querier device.
   Status CheckDeployment() const;
+  // Builds contribution_plan_: compiles the predicates and resolves the
+  // projections and the contributor_id key once per distinct population
+  // store. InvalidArgument when any of them does not resolve.
+  Status ResolveContributionPlan();
   // One ContributorActor per contributor device, one member per row of
   // the device's view, keyed by the row's contributor_id.
   Status BuildContributors();
@@ -248,7 +252,8 @@ class QueryExecution {
   Deployment deployment_;
   ExecutionConfig config_;
 
-  // Read by every contributor actor; set once in BuildContributors.
+  // Read by every contributor actor; resolved in Start() and not changed
+  // after it.
   ContributionPlan contribution_plan_;
   // One actor per contributor device that hosts members.
   std::vector<std::unique_ptr<ContributorActor>> contributors_;

@@ -16,27 +16,29 @@ Result<ContributionEncoder> ContributionEncoder::Resolve(
   return out;
 }
 
-void ContributionEncoder::PutHeader(uint64_t contributor_key) {
-  w_.Reset();
-  w_.PutU64(query_id_);
-  w_.PutU64(contributor_key);
+void ContributionEncoder::PutHeader(uint64_t contributor_key,
+                                    Writer* w) const {
+  w->Reset();
+  w->PutU64(query_id_);
+  w->PutU64(contributor_key);
 }
 
 const Bytes& ContributionEncoder::Encode(size_t vgroup,
                                          uint64_t contributor_key,
-                                         const data::TableView& rows) {
-  PutHeader(contributor_key);
-  projections_[vgroup].Write(rows, &w_);
-  return w_.data();
+                                         const data::TableView& rows,
+                                         Writer* w) const {
+  PutHeader(contributor_key, w);
+  projections_[vgroup].Write(rows, w);
+  return w->data();
 }
 
 const Bytes& ContributionEncoder::EncodeRow(size_t vgroup,
                                             uint64_t contributor_key,
                                             const data::ColumnTable& store,
-                                            size_t row) {
-  PutHeader(contributor_key);
-  projections_[vgroup].WriteRow(store, row, &w_);
-  return w_.data();
+                                            size_t row, Writer* w) const {
+  PutHeader(contributor_key, w);
+  projections_[vgroup].WriteRow(store, row, w);
+  return w->data();
 }
 
 Bytes SnapshotSliceMsg::EncodeFrom(uint64_t query_id, uint32_t partition,

@@ -58,9 +58,11 @@ struct ContributionMsg {
 
 // The encoder behind every contribution sender. Resolved against the
 // population store's schema — one data::WireProjection per vertical group
-// — it writes each message straight from the store into a reused buffer.
-// The bytes equal
+// — it writes each message straight from the store into the caller's
+// writer. The bytes equal
 // ContributionMsg{query_id, key, rows.ProjectToTable(columns)}.Encode().
+// Resolved once, it is read-only: senders on several threads may share it
+// as long as each brings its own writer.
 class ContributionEncoder {
  public:
   // Fails when a vertical group names a column the store lacks.
@@ -68,20 +70,22 @@ class ContributionEncoder {
       uint64_t query_id, const data::Schema& store_schema,
       const std::vector<std::vector<std::string>>& vgroup_columns);
 
-  // The message carrying `rows` (a view over the resolved store) to
-  // vertical group `vgroup`. Valid until the next Encode/EncodeRow.
+  size_t num_vgroups() const { return projections_.size(); }
+
+  // Resets `w` to the message carrying `rows` (a view over the resolved
+  // store) to vertical group `vgroup`; returns w->data().
   const Bytes& Encode(size_t vgroup, uint64_t contributor_key,
-                      const data::TableView& rows);
+                      const data::TableView& rows, Writer* w) const;
   // The same for the single store row `row`.
   const Bytes& EncodeRow(size_t vgroup, uint64_t contributor_key,
-                         const data::ColumnTable& store, size_t row);
+                         const data::ColumnTable& store, size_t row,
+                         Writer* w) const;
 
  private:
-  void PutHeader(uint64_t contributor_key);
+  void PutHeader(uint64_t contributor_key, Writer* w) const;
 
   uint64_t query_id_ = 0;
   std::vector<data::WireProjection> projections_;
-  Writer w_;
 };
 
 // A vertical slice of one snapshot partition.

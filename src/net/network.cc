@@ -17,7 +17,7 @@ Network::Network(SimEngine* engine, NetworkConfig config)
     : engine_(engine), config_(config), shard_(engine->num_shards()) {}
 
 NodeId Network::Register(Node* node, ChurnModel churn) {
-  NodeId id = next_id_++;
+  const NodeId id = nodes_.size() + 1;
   NodeState state;
   state.node = node;
   state.churn = churn;
@@ -26,7 +26,7 @@ NodeId Network::Register(Node* node, ChurnModel churn) {
   // node draws the same sequence no matter which shard runs it — or
   // whether any sharding exists at all.
   state.rng = NodeRng(engine_->seed(), id);
-  nodes_.emplace(id, std::move(state));
+  nodes_.push_back(std::move(state));
   if (churn.mean_online > 0 && churn.mean_offline > 0) {
     ScheduleChurnTransition(id);
   }
@@ -34,21 +34,20 @@ NodeId Network::Register(Node* node, ChurnModel churn) {
 }
 
 void Network::ScheduleChurnTransition(NodeId id) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end() || it->second.dead) return;
-  const ChurnModel& churn = it->second.churn;
-  SimDuration mean = it->second.online ? churn.mean_online
-                                       : churn.mean_offline;
+  NodeState* state = Find(id);
+  if (state == nullptr || state->dead) return;
+  const ChurnModel& churn = state->churn;
+  SimDuration mean = state->online ? churn.mean_online : churn.mean_offline;
   if (mean == 0) return;
   double rate = 1.0 / static_cast<double>(mean);
   SimDuration dwell =
-      static_cast<SimDuration>(it->second.rng.NextExponential(rate));
+      static_cast<SimDuration>(state->rng.NextExponential(rate));
   // Churn is a self-transition: the event belongs to the churning node, so
   // it is exempt from the lookahead bound and runs on the node's shard.
   engine_->ScheduleAfter(id, dwell, [this, id]() {
-    auto it2 = nodes_.find(id);
-    if (it2 == nodes_.end() || it2->second.dead) return;
-    SetOnline(id, !it2->second.online);
+    const NodeState* now_state = Find(id);
+    if (now_state == nullptr || now_state->dead) return;
+    SetOnline(id, !now_state->online);
     ScheduleChurnTransition(id);
   });
 }
@@ -64,14 +63,13 @@ void Network::Send(Message msg) {
     qs.bytes_sent += msg.WireSize();
   }
 
-  auto from_it = nodes_.find(msg.from);
-  if (from_it == nodes_.end() || from_it->second.dead ||
-      !from_it->second.online) {
+  NodeState* from = Find(msg.from);
+  if (from == nullptr || from->dead || !from->online) {
     ++stats.dropped_sender_offline;
     Recycle(std::move(msg));
     return;
   }
-  NodeRng& rng = from_it->second.rng;
+  NodeRng& rng = from->rng;
 
   // Chaos layer first: the injector sees the message as the sender emits
   // it, in the sender's event context (per-sender streams keep the verdict
@@ -133,13 +131,13 @@ void Network::SampleAndDispatch(Message msg, NodeRng& rng,
 }
 
 void Network::Deliver(Message msg) {
-  auto it = nodes_.find(msg.to);
-  if (it == nodes_.end() || it->second.dead) {
+  NodeState* found = Find(msg.to);
+  if (found == nullptr || found->dead) {
     ++stats_here().dropped_dead;
     Recycle(std::move(msg));
     return;
   }
-  NodeState& state = it->second;
+  NodeState& state = *found;
   if (!state.online) {
     if (config_.store_and_forward) {
       state.mailbox.emplace_back(engine_->now(), std::move(msg));
@@ -165,50 +163,50 @@ void Network::Deliver(Message msg) {
 }
 
 void Network::Kill(NodeId id) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return;
-  it->second.dead = true;
-  it->second.online = false;
-  for (auto& [enqueued, msg] : it->second.mailbox) Recycle(std::move(msg));
-  it->second.mailbox.clear();
+  NodeState* state = Find(id);
+  if (state == nullptr) return;
+  state->dead = true;
+  state->online = false;
+  for (auto& [enqueued, msg] : state->mailbox) Recycle(std::move(msg));
+  state->mailbox.clear();
 }
 
 void Network::Restart(NodeId id) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end() || !it->second.dead) return;
-  it->second.dead = false;
+  NodeState* state = Find(id);
+  if (state == nullptr || !state->dead) return;
+  state->dead = false;
   // A rebooted device powers up connected; the churn model takes over from
   // there. Coming online before OnRestart lets recovery hooks send their
   // RecoveryHello from inside the callback.
-  it->second.online = true;
-  it->second.node->OnRestart();
-  if (it->second.churn.mean_online > 0 && it->second.churn.mean_offline > 0) {
+  state->online = true;
+  state->node->OnRestart();
+  if (state->churn.mean_online > 0 && state->churn.mean_offline > 0) {
     ScheduleChurnTransition(id);
   }
 }
 
 bool Network::IsDead(NodeId id) const {
-  auto it = nodes_.find(id);
-  return it == nodes_.end() || it->second.dead;
+  const NodeState* state = Find(id);
+  return state == nullptr || state->dead;
 }
 
 void Network::SetOnline(NodeId id, bool online) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end() || it->second.dead) return;
-  if (it->second.online == online) return;
-  it->second.online = online;
+  NodeState* state = Find(id);
+  if (state == nullptr || state->dead) return;
+  if (state->online == online) return;
+  state->online = online;
   if (online) {
-    it->second.node->OnOnline();
+    state->node->OnOnline();
     FlushMailbox(id);
   } else {
-    it->second.node->OnOffline();
+    state->node->OnOffline();
   }
 }
 
 void Network::FlushMailbox(NodeId id) {
-  auto it = nodes_.find(id);
-  if (it == nodes_.end()) return;
-  NodeState& state = it->second;
+  NodeState* found = Find(id);
+  if (found == nullptr) return;
+  NodeState& state = *found;
   std::vector<std::pair<SimTime, Message>> pending;
   pending.swap(state.mailbox);
   for (auto& [enqueued, msg] : pending) {
@@ -220,14 +218,13 @@ void Network::FlushMailbox(NodeId id) {
     }
     // Re-check liveness: a delivery callback may have killed the node or
     // pushed it offline again.
-    auto it2 = nodes_.find(id);
-    if (it2 == nodes_.end() || it2->second.dead) {
+    if (state.dead) {
       ++stats_here().dropped_dead;
       Recycle(std::move(msg));
       continue;
     }
-    if (!it2->second.online) {
-      it2->second.mailbox.emplace_back(enqueued, std::move(msg));
+    if (!state.online) {
+      state.mailbox.emplace_back(enqueued, std::move(msg));
       continue;
     }
     NetworkStats& stats = stats_here();
@@ -239,7 +236,7 @@ void Network::FlushMailbox(NodeId id) {
       ++qs.messages_delivered;
       qs.bytes_delivered += msg.WireSize();
     }
-    it2->second.node->OnMessage(msg);
+    state.node->OnMessage(msg);
     Recycle(std::move(msg));
   }
 }
@@ -279,8 +276,8 @@ QueryNetStats Network::query_stats(uint64_t query_tag) const {
 }
 
 void Network::ResetNodeStreams() {
-  for (auto& [id, state] : nodes_) {
-    state.rng = NodeRng(engine_->seed(), id);
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    nodes_[i].rng = NodeRng(engine_->seed(), i + 1);
   }
 }
 
@@ -302,8 +299,8 @@ void Network::RecyclePayloadBuffer(Bytes&& buf) {
 }
 
 bool Network::IsOnline(NodeId id) const {
-  auto it = nodes_.find(id);
-  return it != nodes_.end() && !it->second.dead && it->second.online;
+  const NodeState* state = Find(id);
+  return state != nullptr && !state->dead && state->online;
 }
 
 }  // namespace edgelet::net

@@ -128,7 +128,10 @@ class Network {
  public:
   Network(SimEngine* engine, NetworkConfig config);
 
-  // Registers a node and returns its id (ids start at 1).
+  // Registers a node and returns its id (ids are dense, from 1). Nodes
+  // register only while devices are built, before any run: the node table
+  // may grow here, so no event callback or worker may be running. During a
+  // run each shard or live worker mutates only its own nodes' entries.
   NodeId Register(Node* node, ChurnModel churn = ChurnModel::AlwaysOn());
 
   // Sends msg.from -> msg.to. Messages from offline or dead nodes are lost.
@@ -216,6 +219,13 @@ class Network {
     std::vector<Bytes> payload_pool;
   };
 
+  // The state of node `id`, or null when no node has that id.
+  NodeState* Find(NodeId id) {
+    return id - 1 < nodes_.size() ? &nodes_[id - 1] : nullptr;
+  }
+  const NodeState* Find(NodeId id) const {
+    return id - 1 < nodes_.size() ? &nodes_[id - 1] : nullptr;
+  }
   void Deliver(Message msg);
   // Applies the network's own loss/latency model to one in-flight copy and
   // schedules its delivery. `extra_latency` is the chaos layer's spike.
@@ -232,8 +242,7 @@ class Network {
   SimEngine* engine_;
   NetworkConfig config_;
   FaultInjector* injector_ = nullptr;
-  std::unordered_map<NodeId, NodeState> nodes_;
-  NodeId next_id_ = 1;
+  std::vector<NodeState> nodes_;  // nodes_[id - 1]
   std::vector<ShardState> shard_;
 };
 

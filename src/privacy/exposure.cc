@@ -18,8 +18,9 @@ ExposureReport ComputeExposure(const query::Qep& qep,
     e.role = std::string(query::OperatorRoleName(v.role));
     switch (v.role) {
       case query::OperatorRole::kDataContributor:
-        // Sees only its own record: exposure 1 tuple, but it is the
-        // owner's data — not counted as leakage.
+        // One leaf for the whole tier. Each contributor sees only its own
+        // record: exposure 1 tuple, but it is the owner's data — not
+        // counted as leakage.
         e.tuples = 0;
         break;
       case query::OperatorRole::kSnapshotBuilder:

@@ -48,7 +48,11 @@ std::vector<const OperatorVertex*> Qep::ByRole(OperatorRole role) const {
 }
 
 size_t Qep::CountByRole(OperatorRole role) const {
-  return ByRole(role).size();
+  size_t total = 0;
+  for (const auto& v : vertices_) {
+    if (v.role == role) total += v.count;
+  }
+  return total;
 }
 
 Status Qep::AddEdge(uint64_t from, uint64_t to) {
@@ -115,14 +119,11 @@ std::string Qep::ToString() const {
   auto print_role = [&](OperatorRole role) {
     auto vs = ByRole(role);
     if (vs.empty()) return;
-    out << "  " << OperatorRoleName(role) << " x" << vs.size() << "\n";
-    size_t shown = 0;
+    out << "  " << OperatorRoleName(role) << " x" << CountByRole(role)
+        << "\n";
+    // The contributor tier is one counted leaf: its header line says it.
+    if (role == OperatorRole::kDataContributor) return;
     for (const auto* v : vs) {
-      if (role == OperatorRole::kDataContributor && vs.size() > 4 &&
-          shown >= 3) {
-        out << "    ... (" << vs.size() - shown << " more)\n";
-        break;
-      }
       out << "    [" << v->id << "]";
       if (v->partition >= 0) out << " part=" << v->partition;
       if (v->vgroup >= 0) out << " vgroup=" << v->vgroup;
@@ -140,7 +141,6 @@ std::string Qep::ToString() const {
       }
       if (v->device != 0) out << " @dev" << v->device;
       out << "\n";
-      ++shown;
     }
   };
   print_role(OperatorRole::kDataContributor);

@@ -11,7 +11,7 @@ namespace edgelet::query {
 
 // Roles of the operators in an Edgelet Query Execution Plan (paper §2.1).
 enum class OperatorRole : uint8_t {
-  kDataContributor = 0,  // one per contributing edgelet (leaves)
+  kDataContributor = 0,  // the contributing edgelets: one counted leaf
   kSnapshotBuilder = 1,  // collects a representative partition of size C/n
   kComputer = 2,         // computes on one (partition, vertical-group) slice
   kCombiner = 3,         // Computing Combiner: merges partials
@@ -39,6 +39,10 @@ struct OperatorVertex {
   std::vector<uint64_t> downstream;
   // Device (net::NodeId) hosting the operator; 0 until assignment.
   uint64_t device = 0;
+  // Operator instances this vertex stands for: the contributor tier is one
+  // leaf counting every contributor device, so a plan's size does not grow
+  // with the crowd. 1 for every other role.
+  uint64_t count = 1;
 };
 
 // Query Execution Plan: a DAG of operators. Built by the planner
@@ -56,6 +60,7 @@ class Qep {
   const std::vector<OperatorVertex>& vertices() const { return vertices_; }
 
   std::vector<const OperatorVertex*> ByRole(OperatorRole role) const;
+  // Operator instances of `role`: the sum of its vertices' counts.
   size_t CountByRole(OperatorRole role) const;
 
   // Horizontal partitioning parameters (Overcollection: n + m partitions).

@@ -209,6 +209,38 @@ TEST_F(PlannerTest, QepShapeMatchesFigure3) {
   EXPECT_EQ(qep.CountByRole(query::OperatorRole::kDataContributor), 120u);
 }
 
+// The contributor tier is one counted leaf: a plan over 5,000 contributor
+// devices has as many vertices as one over 120, and the same exposure.
+TEST_F(PlannerTest, PlanSizeIsIndependentOfCrowd) {
+  FrameworkConfig big_cfg = StableConfig();
+  big_cfg.fleet.num_contributors = 5000;
+  big_cfg.data.num_individuals = 5000;
+  EdgeletFramework big(big_cfg);
+  ASSERT_TRUE(big.Init().ok());
+  PrivacyConfig privacy;
+  privacy.max_tuples_per_edgelet = 10;
+  auto small_plan = framework_.Plan(HealthSurveyQuery(), privacy, {},
+                                    Strategy::kOvercollection);
+  auto big_plan =
+      big.Plan(HealthSurveyQuery(), privacy, {}, Strategy::kOvercollection);
+  ASSERT_TRUE(small_plan.ok() && big_plan.ok());
+  EXPECT_EQ(small_plan->qep.num_vertices(), big_plan->qep.num_vertices());
+  EXPECT_EQ(
+      small_plan->qep.CountByRole(query::OperatorRole::kDataContributor),
+      120u);
+  EXPECT_EQ(big_plan->qep.CountByRole(query::OperatorRole::kDataContributor),
+            5000u);
+  // Pinned from the one-vertex-per-contributor planner: the tier exposes
+  // nothing, so folding it changes none of the four numbers.
+  for (const auto* plan : {&*small_plan, &*big_plan}) {
+    const privacy::ExposureReport e = Planner::Exposure(*plan);
+    EXPECT_EQ(e.max_tuples_per_edgelet, 10u);
+    EXPECT_EQ(e.max_cells_per_edgelet, 30u);
+    EXPECT_EQ(e.total_cells, 420u);
+    EXPECT_DOUBLE_EQ(e.worst_snapshot_fraction, 0.25);
+  }
+}
+
 TEST_F(PlannerTest, ExposureDropsWithHorizontalPartitioning) {
   PrivacyConfig coarse;
   coarse.max_tuples_per_edgelet = 40;
@@ -301,6 +333,46 @@ TEST(FrameworkTest, RejectedStartLeavesNoEventBehind) {
   // Whatever a rejected start left scheduled would fire here, into freed
   // actors.
   fw.sim()->RunUntil(fw.sim()->now() + 10 * kMinute);
+  auto report = fw.Execute(*d, QuickExecution(11));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->success);
+}
+
+// The contribution plan resolves against the population store inside
+// Start(): a projection naming a column the store lacks fails Start()
+// before any actor exists, instead of every contributor sending nothing
+// while the query runs to its deadline.
+TEST(FrameworkTest, UnresolvableContributionPlanIsRejected) {
+  EdgeletFramework fw(StableConfig(11));
+  ASSERT_TRUE(fw.Init().ok());
+  PrivacyConfig privacy;
+  privacy.max_tuples_per_edgelet = 10;
+  auto d = fw.Plan(HealthSurveyQuery(), privacy, {},
+                   Strategy::kOvercollection);
+  ASSERT_TRUE(d.ok()) << d.status().ToString();
+  const size_t pending = fw.sim()->pending_events();
+  const size_t live = fw.live_execution_count();
+
+  exec::Deployment missing_column = *d;
+  missing_column.vgroup_columns[0].push_back("no_such_column");
+  auto started = fw.StartExecution(missing_column, QuickExecution(11));
+  ASSERT_FALSE(started.ok());
+  EXPECT_TRUE(started.status().IsInvalidArgument())
+      << started.status().ToString();
+  EXPECT_EQ(fw.live_execution_count(), live);
+  EXPECT_EQ(fw.sim()->pending_events(), pending);
+
+  exec::Deployment bad_predicate = *d;
+  bad_predicate.query.predicates = {
+      {"no_such_column", CompareOp::kGt, data::Value(int64_t{1})}};
+  started = fw.StartExecution(bad_predicate, QuickExecution(11));
+  ASSERT_FALSE(started.ok());
+  EXPECT_TRUE(started.status().IsInvalidArgument())
+      << started.status().ToString();
+  EXPECT_EQ(fw.live_execution_count(), live);
+  EXPECT_EQ(fw.sim()->pending_events(), pending);
+
+  // The framework stays usable.
   auto report = fw.Execute(*d, QuickExecution(11));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->success);

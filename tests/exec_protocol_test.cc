@@ -741,16 +741,17 @@ TEST(ContributionEncoderTest, BytesEqualProjectThenEncode) {
       all, all.Slice(17, 40), all.Slice(399, 5), *qualified,
       qualified->Slice(3, 9), all.Slice(0, 0)};
 
+  Writer w;
   for (size_t vg = 0; vg < vgroups.size(); ++vg) {
     // One-row cohort members, straight from the store row.
     for (size_t row = 0; row < store->num_rows(); ++row) {
       const uint64_t key = 0x9E3779B97F4A7C15ULL * (row + 1);
-      ASSERT_EQ(encoder->EncodeRow(vg, key, *store, row),
+      ASSERT_EQ(encoder->EncodeRow(vg, key, *store, row, &w),
                 ReferenceContribution(77, key, all.Slice(row, 1), vgroups[vg]))
           << "vgroup " << vg << " row " << row;
     }
     for (size_t v = 0; v < views.size(); ++v) {
-      ASSERT_EQ(encoder->Encode(vg, v, views[v]),
+      ASSERT_EQ(encoder->Encode(vg, v, views[v], &w),
                 ReferenceContribution(77, v, views[v], vgroups[vg]))
           << "vgroup " << vg << " view " << v;
     }
@@ -763,7 +764,8 @@ TEST(ContributionEncoderTest, DecodesToTheProjectedRows) {
   const std::vector<std::string> columns = {"tag", "big", "score"};
   auto encoder = ContributionEncoder::Resolve(5, store->schema(), {columns});
   ASSERT_TRUE(encoder.ok());
-  auto back = ContributionMsg::Decode(encoder->Encode(0, 9, all));
+  Writer w;
+  auto back = ContributionMsg::Decode(encoder->Encode(0, 9, all, &w));
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->query_id, 5u);
   EXPECT_EQ(back->contributor_key, 9u);

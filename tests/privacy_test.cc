@@ -154,6 +154,32 @@ TEST(ExposureTest, ContributorsExemptFromSeparation) {
   EXPECT_TRUE(ValidateSeparation(qep, {{"age", "region"}}).ok());
 }
 
+// The contributor tier is one vertex standing for k devices: it is listed
+// once, exposes no tuple, and leaves the plan's worst case to the
+// processors.
+TEST(ExposureTest, CountedContributorTierListedOnce) {
+  Qep qep = PlanWithPartitions(2, 0, {"age", "bmi"});
+  const auto base = ComputeExposure(qep, 100);
+  qep.AddVertex({.role = OperatorRole::kDataContributor,
+                 .attributes = {"age", "bmi"},
+                 .count = 5000});
+  const auto r = ComputeExposure(qep, 100);
+  EXPECT_EQ(qep.CountByRole(OperatorRole::kDataContributor), 5000u);
+  ASSERT_EQ(r.per_operator.size(), base.per_operator.size() + 1);
+  size_t listed = 0;
+  for (const auto& op : r.per_operator) {
+    if (op.role != "DataContributor") continue;
+    ++listed;
+    EXPECT_EQ(op.tuples, 0u);
+    EXPECT_EQ(op.cells, 0u);
+  }
+  EXPECT_EQ(listed, 1u);
+  EXPECT_EQ(r.max_tuples_per_edgelet, base.max_tuples_per_edgelet);
+  EXPECT_EQ(r.max_cells_per_edgelet, base.max_cells_per_edgelet);
+  EXPECT_EQ(r.total_cells, base.total_cells);
+  EXPECT_DOUBLE_EQ(r.worst_snapshot_fraction, base.worst_snapshot_fraction);
+}
+
 TEST(ExposureTest, ReportRendersKeyNumbers) {
   Qep qep = PlanWithPartitions(10, 2, {"age"});
   auto r = ComputeExposure(qep, 1000);
