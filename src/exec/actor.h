@@ -37,18 +37,22 @@ void ScheduleBackoffResends(net::Transport* net, net::NodeId owner, int count,
   }
 }
 
+class OperatorActor;
+
 // Durable checkpoint sink injected into operator actors by the recovery
-// layer (exec/recovery.h): called with the actor's serialized volatile
-// state at state transitions, wrapped into a sealed store record by the
-// owning RecoveryHost. `epoch` is the emission epoch the state belongs
-// to; `critical` marks phase transitions (snapshot complete, output sent)
-// that must persist even when the cadence throttle would skip a routine
-// delta. Null (default) = recovery disabled: no call sites fire, zero
-// overhead, and — because checkpointing never schedules events, sends
-// messages, or draws from node streams — enabling it leaves message
-// timing, and therefore report fingerprints, untouched.
+// layer (exec/recovery.h): called with the actor at state transitions. The
+// owning RecoveryHost first applies its cadence throttle and only then
+// reads the actor's serialized volatile state (SerializeState, tagged with
+// checkpoint_epoch(), the emission epoch it belongs to) into a sealed
+// store record, so a throttled call serializes nothing. `critical` marks
+// phase transitions (snapshot complete, output sent) that must persist
+// even when the throttle would skip a routine delta. Null (default) =
+// recovery disabled: no call sites fire, zero overhead, and — because
+// checkpointing never schedules events, sends messages, or draws from
+// node streams — enabling it leaves message timing, and therefore report
+// fingerprints, untouched.
 using CheckpointFn =
-    std::function<void(uint32_t epoch, const Bytes& state, bool critical)>;
+    std::function<void(const OperatorActor& actor, bool critical)>;
 
 // Periodic liveness beacon for the failure-detection subsystem: while the
 // hosting device is alive, renews the operator's lease at the repair
@@ -181,7 +185,9 @@ class ActorBase {
 
   // Opens msg's sealed payload into a per-actor scratch (see
   // opened_payload()). The scratch is reused across messages, so the
-  // steady-state receive path never allocates.
+  // steady-state receive path never allocates. It keeps the capacity of
+  // the largest payload it held, so a handler for bulk payloads (snapshot
+  // slices) opens into a buffer of its own instead.
   Status OpenSealed(const net::Message& msg) {
     return dev_->OpenPayloadInto(msg, &open_scratch_);
   }
@@ -220,11 +226,11 @@ class OperatorActor : public ActorBase {
   // config is enabled).
   void StartBeacon(const LivenessBeacon::Config& config);
 
-  // Hands SerializeState() to the checkpoint sink (no-op when recovery is
-  // off). `critical` bypasses the sink's cadence throttle.
+  // Offers this actor's state to the checkpoint sink (no-op when recovery
+  // is off), which serializes it only if it writes. `critical` bypasses
+  // the sink's cadence throttle.
   void MaybeCheckpoint(bool critical) {
-    if (!checkpoint_) return;
-    checkpoint_(checkpoint_epoch(), SerializeState(), critical);
+    if (checkpoint_) checkpoint_(*this, critical);
   }
 
  private:

@@ -131,8 +131,12 @@ void ComputerActor::OnSlice(const net::Message& msg) {
   // one snapshot instance. A later slice (a resend, or another epoch) is
   // dropped before it is opened and decoded.
   if (have_slice_) return;
-  if (!OpenSealed(msg).ok()) return;
-  auto slice = SnapshotSliceMsg::Decode(opened_payload());
+  // A slice is bulk (up to the whole snapshot partition): it is opened into
+  // a buffer of this handler's own, freed once decoded, rather than into
+  // the actor's reused scratch, which would keep the slice's size.
+  Bytes opened;
+  if (!dev()->OpenPayloadInto(msg, &opened).ok()) return;
+  auto slice = SnapshotSliceMsg::Decode(opened);
   if (!slice.ok() || slice->query_id != config_.query_id ||
       slice->partition != config_.partition ||
       slice->vgroup != config_.vgroup) {

@@ -22,19 +22,19 @@ RecoveryHost::~RecoveryHost() {
 }
 
 CheckpointFn RecoveryHost::MakeCheckpointFn() {
-  return [this](uint32_t epoch, const Bytes& state, bool critical) {
+  return [this](const OperatorActor& actor, bool critical) {
     const SimTime now = net_->now();
     if (!critical && has_checkpointed_ &&
         now < last_checkpoint_ + kCheckpointInterval) {
-      return;  // cadence throttle: coalesce routine deltas
+      return;  // cadence throttle: coalesce routine deltas, unserialized
     }
     CheckpointRecord rec;
     rec.kind = config_.kind;
     rec.partition = config_.partition;
     rec.vgroup = config_.vgroup;
-    rec.epoch = epoch;
+    rec.epoch = actor.checkpoint_epoch();
     rec.incarnation = dev_->boot_epoch();
-    rec.state = state;
+    rec.state = actor.SerializeState();
     if (store_.Checkpoint(rec.Encode()).ok()) {
       has_checkpointed_ = true;
       last_checkpoint_ = now;

@@ -118,8 +118,8 @@ class RecoveryHost {
   RecoveryHost& operator=(const RecoveryHost&) = delete;
 
   // The checkpoint sink to wire into the operator actor's config. Applies
-  // the cadence throttle, wraps the state into a CheckpointRecord, and
-  // appends it to the sealed store.
+  // the cadence throttle, and only past it serializes the actor's state
+  // into a CheckpointRecord and appends it to the sealed store.
   CheckpointFn MakeCheckpointFn();
 
   const store::DeviceStore& store() const { return store_; }

@@ -292,7 +292,7 @@ Bytes Network::AcquirePayloadBuffer() {
 }
 
 void Network::RecyclePayloadBuffer(Bytes&& buf) {
-  if (buf.capacity() == 0) return;
+  if (buf.capacity() == 0 || buf.capacity() > kMaxPooledPayloadBytes) return;
   ShardState& here = shard_[engine_->current_shard()];
   if (here.payload_pool.size() >= kMaxPooledBuffers) return;
   here.payload_pool.push_back(std::move(buf));

@@ -192,10 +192,15 @@ class Network {
   // seals into an acquired buffer, and the network returns the buffer to
   // the pool once the message is consumed (delivered, dropped, or expired).
   // In steady state no per-message heap allocation happens. Buffers keep
-  // their capacity; the pool is bounded so bursts do not pin memory.
-  // Pools are per shard: a buffer freed on a shard is reused by it.
+  // their capacity, so only small ones are pooled: a buffer whose capacity
+  // exceeds kMaxPooledPayloadBytes (a bulk snapshot slice) is freed on
+  // recycling rather than left to carry 125-byte contributions at the size
+  // of the largest message it ever held. The pool's length is bounded too,
+  // so bursts do not pin memory. Pools are per shard: a buffer freed on a
+  // shard is reused by it.
   Bytes AcquirePayloadBuffer();
   void RecyclePayloadBuffer(Bytes&& buf);
+  static constexpr size_t kMaxPooledPayloadBytes = 4 * 1024;
 
  private:
   struct NodeState {

@@ -97,7 +97,7 @@ void Enclave::TamperCode(const std::string& new_identity) {
   // but carries the tampered measurement.
   report_ = authority_->Attest(id_, measurement_);
   provisioned_ = false;
-  pairwise_keys_.Clear();
+  pairwise_keys_.reset();
 }
 
 Status Enclave::Provision() {
@@ -105,20 +105,32 @@ Status Enclave::Provision() {
   if (!key.ok()) return key.status();
   channel_mac_ = crypto::HmacSha256Key(key->data(), key->size());
   provisioned_ = true;
-  pairwise_keys_.Clear();
+  pairwise_keys_.reset();
   return Status::OK();
 }
 
 const crypto::Key256& Enclave::PairwiseKey(uint64_t peer_id) const {
-  bool inserted;
-  crypto::Key256& key = pairwise_keys_.FindOrInsert(peer_id, &inserted);
-  if (!inserted) return key;
+  if (!pairwise_keys_) pairwise_keys_ = std::make_unique<PairwiseKeyCache>();
+  PairwiseKeyCache& cache = *pairwise_keys_;
+  const uint64_t now = ++cache.clock;
+  size_t slot = 0;  // the least recently used slot, if all are filled
+  for (size_t i = 0; i < cache.size; ++i) {
+    if (cache.peer[i] == peer_id) {
+      cache.last_use[i] = now;
+      return cache.key[i];
+    }
+    if (cache.last_use[i] < cache.last_use[slot]) slot = i;
+  }
+  if (cache.size < kPairwiseKeyCacheCapacity) slot = cache.size++;
   // Message: the lower id then the higher, each little-endian.
   uint8_t msg[16];
   StoreLe64(msg, std::min(id_, peer_id));
   StoreLe64(msg + 8, std::max(id_, peer_id));
   crypto::Digest256 d = channel_mac_.Mac(msg, sizeof(msg));
+  crypto::Key256& key = cache.key[slot];
   std::memcpy(key.data(), d.data(), key.size());
+  cache.peer[slot] = peer_id;
+  cache.last_use[slot] = now;
   return key;
 }
 

@@ -2,10 +2,10 @@
 #define EDGELET_TEE_ENCLAVE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "common/bytes.h"
-#include "common/hash.h"
 #include "common/status.h"
 #include "crypto/aead.h"
 #include "crypto/sha256.h"
@@ -122,16 +122,36 @@ class Enclave {
   uint64_t cleartext_tuples_observed() const { return cleartext_tuples_; }
   uint64_t cleartext_cells_observed() const { return cleartext_cells_; }
 
-  // Peers whose pairwise key is currently cached (tests and telemetry).
-  size_t cached_pairwise_keys() const { return pairwise_keys_.size(); }
+  // Peers whose pairwise key is currently cached (tests and telemetry);
+  // never more than kPairwiseKeyCacheCapacity.
+  size_t cached_pairwise_keys() const {
+    return pairwise_keys_ ? pairwise_keys_->size : 0;
+  }
+
+  // Pairwise keys an enclave holds at once. A device that talks to at most
+  // this many peers (a cohort member and its n + m builders) derives each
+  // key once; one that talks to thousands (a builder) derives on most
+  // messages, at the price of one 16-byte HMAC.
+  static constexpr size_t kPairwiseKeyCacheCapacity = 8;
 
  private:
+  // The most recently used pairwise keys, fully associative: a lookup
+  // scans the `size` filled slots; a miss fills a free slot or replaces
+  // the least recently used one.
+  struct PairwiseKeyCache {
+    uint64_t peer[kPairwiseKeyCacheCapacity];
+    uint64_t last_use[kPairwiseKeyCacheCapacity];
+    crypto::Key256 key[kPairwiseKeyCacheCapacity];
+    uint64_t clock = 0;
+    size_t size = 0;
+  };
+
   // A pairwise key is HMAC-SHA256(group key, lower id || higher id), two
   // SHA-256 compressions under the group key's schedule (channel_mac_).
   // The derived key for a peer is immutable for the lifetime of a group
-  // key, so it is cached in a flat open-addressing table (one probe on the
-  // per-message path). The cache is emptied whenever the group key can
-  // change (Provision, TamperCode).
+  // key, so the recent ones are cached; the cache is allocated on first
+  // channel use, so an enclave that never opens a channel holds none, and
+  // freed whenever the group key can change (Provision, TamperCode).
   const crypto::Key256& PairwiseKey(uint64_t peer_id) const;
 
   uint64_t id_;
@@ -146,7 +166,7 @@ class Enclave {
   uint64_t storage_seq_ = 0;
   uint64_t cleartext_tuples_ = 0;
   uint64_t cleartext_cells_ = 0;
-  mutable FlatTable64<crypto::Key256> pairwise_keys_;
+  mutable std::unique_ptr<PairwiseKeyCache> pairwise_keys_;
 };
 
 }  // namespace edgelet::tee

@@ -14,6 +14,7 @@
 #include "exec/combiner.h"
 #include "exec/computer.h"
 #include "exec/execution.h"
+#include "exec/recovery.h"
 #include "exec/snapshot_builder.h"
 #include "table_views.h"
 
@@ -767,6 +768,57 @@ TEST_F(ActorTest, StandbyCombinerStopsResendsAfterYieldingLeadership) {
   // First emission (~7 s) plus the one resend (~17 s) that fired while
   // still leader; the +30 s / +70 s resends were suppressed.
   EXPECT_EQ(querier.duplicates(), 1u);
+}
+
+// An operator whose state is one counter; it counts how often the sink
+// serialized it.
+class CountingOperator : public OperatorActor {
+ public:
+  CountingOperator(net::Transport* net, device::Device* dev,
+                   CheckpointFn checkpoint)
+      : OperatorActor(net, dev, kQuery, std::move(checkpoint)) {}
+  void Start() override {}
+  Bytes SerializeState() const override {
+    ++serializations;
+    return Bytes{static_cast<uint8_t>(serializations)};
+  }
+  void Offer(bool critical) { MaybeCheckpoint(critical); }
+  mutable int serializations = 0;
+
+ protected:
+  void HandleMessage(const net::Message&) override {}
+};
+
+// The recovery host's cadence throttle is asked before the state is
+// serialized: a routine delta it drops costs no SerializeState call, and
+// every write serializes exactly once.
+TEST_F(ActorTest, ThrottledCheckpointsAreNotSerialized) {
+  device::Device* dev = NewDevice();
+  RecoveryHost::Config host_cfg;
+  host_cfg.query_id = kQuery;
+  RecoveryHost host(&transport_, dev, host_cfg,
+                    std::make_unique<store::MemoryMedium>());
+  CountingOperator op(&transport_, dev, host.MakeCheckpointFn());
+
+  op.Offer(/*critical=*/false);  // the first record is always written
+  EXPECT_EQ(op.serializations, 1);
+  for (int i = 0; i < 5; ++i) op.Offer(/*critical=*/false);
+  EXPECT_EQ(op.serializations, 1);
+  EXPECT_EQ(host.store().stats().checkpoints, 1u);
+  op.Offer(/*critical=*/true);  // bypasses the throttle
+  EXPECT_EQ(op.serializations, 2);
+  EXPECT_EQ(host.store().stats().checkpoints, 2u);
+
+  // Routine deltas are coalesced until a full interval has passed.
+  sim_.ScheduleAt(dev->id(), kCheckpointInterval - 1,
+                  [&op]() { op.Offer(/*critical=*/false); });
+  sim_.ScheduleAt(dev->id(), kCheckpointInterval,
+                  [&op]() { op.Offer(/*critical=*/false); });
+  sim_.RunUntil(kCheckpointInterval - 1);
+  EXPECT_EQ(op.serializations, 2);
+  sim_.RunUntil(kCheckpointInterval);
+  EXPECT_EQ(op.serializations, 3);
+  EXPECT_EQ(host.store().stats().checkpoints, 3u);
 }
 
 // --- Operator checkpoints ----------------------------------------------------

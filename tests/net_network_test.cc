@@ -299,6 +299,42 @@ TEST_F(NetworkTest, PayloadBuffersRecycleThroughThePool) {
   EXPECT_GE(again.capacity(), 64u);
 }
 
+// A bulk payload (a snapshot slice) is freed on delivery: the pool hands
+// out only buffers at or below the bound, so it never pins a slice's size.
+TEST_F(NetworkTest, BulkPayloadBuffersAreNotPooled) {
+  Network net = MakeNetwork();
+  RecordingNode a, b;
+  NodeId ida = net.Register(&a);
+  NodeId idb = net.Register(&b);
+
+  Message bulk = Make(ida, idb);
+  bulk.payload = net.AcquirePayloadBuffer();
+  bulk.payload.assign(Network::kMaxPooledPayloadBytes + 1, 0x42);
+  net.Send(std::move(bulk));
+  sim_.Run();
+  ASSERT_EQ(b.received.size(), 1u);
+  Bytes after_bulk = net.AcquirePayloadBuffer();
+  EXPECT_EQ(after_bulk.capacity(), 0u);
+  EXPECT_EQ(net.stats().payload_buffers_reused, 0u);
+
+  // A payload at the bound is still pooled and handed out again.
+  Message small = Make(ida, idb);
+  small.payload.reserve(Network::kMaxPooledPayloadBytes);
+  small.payload.assign(Network::kMaxPooledPayloadBytes, 0x43);
+  ASSERT_LE(small.payload.capacity(), Network::kMaxPooledPayloadBytes);
+  net.Send(std::move(small));
+  sim_.Run();
+  ASSERT_EQ(b.received.size(), 2u);
+  Bytes reused = net.AcquirePayloadBuffer();
+  EXPECT_EQ(net.stats().payload_buffers_reused, 1u);
+  EXPECT_EQ(reused.capacity(), Network::kMaxPooledPayloadBytes);
+
+  // Recycling an oversized buffer directly does not pool it either.
+  net.RecyclePayloadBuffer(Bytes(2 * Network::kMaxPooledPayloadBytes));
+  EXPECT_EQ(net.AcquirePayloadBuffer().capacity(), 0u);
+  EXPECT_EQ(net.stats().payload_buffers_reused, 1u);
+}
+
 TEST_F(NetworkTest, MessageAadBindsHeader) {
   Message m1 = Make(1, 2, 7);
   m1.seq = 9;

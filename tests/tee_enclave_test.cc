@@ -217,7 +217,41 @@ TEST_F(EnclaveTest, PairwiseKeyTableMatchesFreshDerivationAtScale) {
           << "peer " << peer << " pass " << pass;
     }
   }
-  EXPECT_EQ(a.cached_pairwise_keys(), peers.size());
+  EXPECT_EQ(a.cached_pairwise_keys(), Enclave::kPairwiseKeyCacheCapacity);
+}
+
+// The cache holds at most kPairwiseKeyCacheCapacity keys however many peers
+// an enclave talks to, and cycling one peer more than it holds (every
+// lookup evicts the key needed next) still seals under the right keys.
+TEST_F(EnclaveTest, PairwiseKeyCacheIsBoundedAndEvictsCorrectly) {
+  Enclave a = MakeEnclave(5);
+  EXPECT_EQ(a.cached_pairwise_keys(), 0u);
+  ASSERT_TRUE(a.Provision().ok());
+  EXPECT_EQ(a.cached_pairwise_keys(), 0u);
+  auto group_key = authority_.ProvisionGroupKey(a.report());
+  ASSERT_TRUE(group_key.ok());
+  const Bytes aad = BytesFromString("hdr");
+  const Bytes msg = BytesFromString("contribution");
+  uint64_t seq = 0;
+  for (uint64_t peer = 100; peer < 10100; ++peer) {
+    ASSERT_TRUE(a.SealFor(peer, seq++, aad, msg).ok());
+    ASSERT_LE(a.cached_pairwise_keys(), Enclave::kPairwiseKeyCacheCapacity);
+  }
+  EXPECT_EQ(a.cached_pairwise_keys(), Enclave::kPairwiseKeyCacheCapacity);
+
+  const uint64_t cycle = Enclave::kPairwiseKeyCacheCapacity + 1;
+  for (int round = 0; round < 4; ++round) {
+    for (uint64_t peer = 0; peer < cycle; ++peer) {
+      auto sealed = a.SealFor(peer, seq, aad, msg);
+      ASSERT_TRUE(sealed.ok());
+      ASSERT_EQ(*sealed,
+                crypto::AeadSeal(FreshPairwiseKey(*group_key, 5, peer),
+                                 crypto::NonceFromSequence(5, seq), aad, msg))
+          << "peer " << peer << " round " << round;
+      ++seq;
+    }
+  }
+  EXPECT_EQ(a.cached_pairwise_keys(), Enclave::kPairwiseKeyCacheCapacity);
 }
 
 TEST_F(EnclaveTest, PairwiseKeyIsSymmetricAcrossDirections) {
@@ -280,7 +314,7 @@ TEST_F(EnclaveTest, ProvisionAndTamperEmptyTheKeyTable) {
   for (uint64_t peer = 2; peer < 50; ++peer) {
     ASSERT_TRUE(a.SealFor(peer, peer, {}, BytesFromString("x")).ok());
   }
-  EXPECT_EQ(a.cached_pairwise_keys(), 48u);
+  EXPECT_EQ(a.cached_pairwise_keys(), Enclave::kPairwiseKeyCacheCapacity);
   ASSERT_TRUE(a.Provision().ok());
   EXPECT_EQ(a.cached_pairwise_keys(), 0u);
   ASSERT_TRUE(a.SealFor(2, 100, {}, BytesFromString("x")).ok());
