@@ -46,8 +46,8 @@ inline uint64_t HashCombine(uint64_t seed, uint64_t value) {
 // Iteration order is unspecified.
 //
 // Small tables stay small: the 4-slot floor keeps the many few-entry
-// tables of a crowd-scale fleet (one per enclave, one per builder) at or
-// below the footprint of the node-based std containers they replace.
+// tables of a crowd-scale fleet (one per builder) at or below the
+// footprint of the node-based std containers they replace.
 struct FlatTableNoValue {};
 
 template <typename V>
